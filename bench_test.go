@@ -38,7 +38,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
+	"repro/internal/metrics"
 )
 
 const (
@@ -207,26 +207,31 @@ func BenchmarkForkParallel(b *testing.B) {
 }
 
 // BenchmarkFig3Profile reproduces the profile attribution; the rendered
-// report is printed once.
+// report is printed once. Each fork's metrics delta is taken with the
+// timer stopped, so child teardown stays out of the profile.
 func BenchmarkFig3Profile(b *testing.B) {
 	b.ReportAllocs()
-	prof := profile.New()
-	k := kernel.New(kernel.WithProfiler(prof))
+	k := kernel.New()
 	p := forkParent(b, k, 128*benchMiB, popFlags)
 	defer p.Exit()
+	deltas := make([]metrics.Snapshot, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := k.MetricsSnapshot()
+		b.StartTimer()
 		c, err := p.Fork(kernel.WithMode(core.ForkClassic))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		deltas = append(deltas, k.MetricsSnapshot().Sub(before))
 		c.Exit()
 		b.StartTimer()
 	}
 	b.StopTimer()
 	if b.N > 1 {
-		b.Logf("\n%s", prof.String())
+		b.Logf("\n%s", metrics.RenderAttribution(metrics.Attribution(deltas...)))
 	}
 }
 

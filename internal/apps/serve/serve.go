@@ -216,9 +216,12 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := s.codec.WriteResponse(bw, resp, flags); err != nil {
 			return
 		}
+		// Count before the flush that delivers the answer, so a client
+		// holding its response never reads a count that misses it.
+		s.served.Add(1)
 		if err := bw.Flush(); err != nil {
+			s.served.Add(^uint64(0)) // not delivered after all
 			return
 		}
-		s.served.Add(1)
 	}
 }

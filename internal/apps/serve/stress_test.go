@@ -72,6 +72,59 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 	const perClient = 250
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients+1)
+	stop := make(chan struct{})
+	// A memory hog keeps dirtying its own arena so free frames cross the
+	// low watermark and kswapd steals pages out from under the server —
+	// COW breaks on the serving path reuse sole-owner frames, so snapshot
+	// churn alone never sustains pressure.
+	hog := k.NewProcess()
+	// Size the hog from the frames actually free after warm-up: enough
+	// to dip well below the low watermark, with a few hundred frames of
+	// slack left so forks and COW breaks never hit hard OOM.
+	hogPages := int(int64(limit)-k.Allocator().Allocated()) - 700
+	if hogPages < lowWM {
+		t.Fatalf("hog of %d pages cannot reach the %d-frame watermark", hogPages, lowWM)
+	}
+	hogBase, err := hog.Mmap(uint64(hogPages)*addr.PageSize, rwProt, vm.MapPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := []byte{0xA5}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			va := hogBase + addr.V((i%hogPages)*addr.PageSize)
+			if err := hog.WriteAt(buf, va); err != nil {
+				errCh <- err
+				return
+			}
+			if i%64 == 63 { // stay polite on a single-CPU host
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
+	// Serve only once the machine is in reclaim, so every request below
+	// runs under memory pressure: wait for kswapd's first steal rather
+	// than racing the clients against the hog.
+	pressureBy := time.Now().Add(30 * time.Second)
+	for rec := k.MetricsSnapshot().Reclaim; rec.PgStealKswapd+rec.PgStealDirect == 0; rec = k.MetricsSnapshot().Reclaim {
+		if time.Now().After(pressureBy) {
+			t.Fatal("the hog never pushed the machine into reclaim")
+		}
+		select {
+		case err := <-errCh:
+			t.Fatal(err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(id int) {
@@ -116,7 +169,6 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 	}
 	// On-demand snapshots interleaved with the timer's, from their own
 	// goroutine (SnapshotNow is single-caller like the store itself).
-	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -132,43 +184,6 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 			}
 		}
 	}()
-	// A memory hog keeps dirtying its own arena so free frames cross the
-	// low watermark and kswapd steals pages out from under the server —
-	// COW breaks on the serving path reuse sole-owner frames, so snapshot
-	// churn alone never sustains pressure.
-	hog := k.NewProcess()
-	// Size the hog from the frames actually free after warm-up: enough
-	// to dip well below the low watermark, with a few hundred frames of
-	// slack left so forks and COW breaks never hit hard OOM.
-	hogPages := int(int64(limit)-k.Allocator().Allocated()) - 700
-	if hogPages < lowWM {
-		t.Fatalf("hog of %d pages cannot reach the %d-frame watermark", hogPages, lowWM)
-	}
-	hogBase, err := hog.Mmap(uint64(hogPages)*addr.PageSize, rwProt, vm.MapPrivate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := []byte{0xA5}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			va := hogBase + addr.V((i%hogPages)*addr.PageSize)
-			if err := hog.WriteAt(buf, va); err != nil {
-				errCh <- err
-				return
-			}
-			if i%64 == 63 { // stay polite on a single-CPU host
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
 	// Wait for the clients by polling served count (so a wedged client
 	// surfaces its error instead of hanging wg.Wait), then stop the
 	// on-demand loop and join everything.

@@ -108,8 +108,8 @@ func calibrate() float64 {
 // common fork workload shape: the page tables are fully built (that is
 // what fork copies or shares) while the data pages hold no bytes yet.
 func newParent(sizeMB int) (*core.AddressSpace, error) {
-	alloc := phys.NewAllocator(nil)
-	as := core.NewAddressSpace(alloc, nil)
+	alloc := phys.NewAllocator()
+	as := core.NewAddressSpace(alloc)
 	size := uint64(sizeMB) << 20
 	if _, err := as.Mmap(0, size, vm.ProtRead|vm.ProtWrite, vm.MapPopulate, nil, 0); err != nil {
 		return nil, fmt.Errorf("bench: mmap %d MB: %w", sizeMB, err)

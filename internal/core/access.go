@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/pagetable"
@@ -36,15 +37,25 @@ const faultReserveFrames = 8
 
 // stallReclaim runs direct reclaim with no space lock held, marking
 // the stall on the flight recorder (the reclaim pass itself records
-// its own scan span). It returns false when reclaim is off or could
-// free nothing, meaning the OOM is final.
+// its own scan span). It returns false when the OOM is final: reclaim
+// is off, or swap is degraded. A pass that freed nothing still asks for
+// a retry, after yielding: eviction skips pages whose owner is locked,
+// so another goroutine mid-access on the same space can leave the pass
+// empty-handed, as can one that took the frames an earlier pass freed.
 func (as *AddressSpace) stallReclaim(try int) bool {
 	m := as.trk()
 	if m == nil {
 		return false
 	}
 	as.trc.InstantReq(trace.KindOOMStall, trace.StageNone, trace.ActorApp, uint64(try+1), 0, as.curReq.Load())
-	return m.ReclaimFrames(faultReserveFrames)
+	if m.ReclaimFrames(faultReserveFrames) {
+		return true
+	}
+	if m.Degraded() {
+		return false
+	}
+	runtime.Gosched()
+	return true
 }
 
 // ReadAt copies len(p) bytes of the process's memory starting at v

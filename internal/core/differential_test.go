@@ -29,8 +29,8 @@ type lineage struct {
 }
 
 func newLineage(mode ForkMode, opts ForkOptions, size uint64, flags vm.MapFlags) (*lineage, error) {
-	l := &lineage{alloc: phys.NewAllocator(nil), mode: mode, opts: opts, size: size}
-	root := NewAddressSpace(l.alloc, nil)
+	l := &lineage{alloc: phys.NewAllocator(), mode: mode, opts: opts, size: size}
+	root := NewAddressSpace(l.alloc)
 	base, err := root.Mmap(0, size, rw, flags|vm.MapPopulate, nil, 0)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem/pagetable"
 	"repro/internal/mem/phys"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -174,7 +173,6 @@ func classifyResolution(before, after faultCounters, seg bool) trace.Stage {
 // for absent pages, PMD-level share detection, shared-table
 // copy-on-write, the last-sharer fast path, and data-page COW.
 func (as *AddressSpace) resolveFaultLocked(v addr.V, write bool) error {
-	as.prof.Charge(profile.FaultEntry, 1)
 	as.Faults.Add(1)
 
 	vma := as.vmas.Find(v)
@@ -467,7 +465,7 @@ func (as *AddressSpace) splitSharedPMDLocked(pud *pagetable.Table, pi int, old *
 	}
 
 	as.notePMDSplit()
-	newPMD.CopyEntriesFrom(old, as.prof)
+	newPMD.CopyEntriesFrom(old)
 	for i := 0; i < addr.EntriesPerTable; i++ {
 		e := old.Entry(i)
 		if !e.Present() {
@@ -510,7 +508,6 @@ func (as *AddressSpace) splitSharedPMDLocked(pud *pagetable.Table, pi int, old *
 		m.OwnerRemove(old, as)
 	}
 	as.sd.Broadcast()
-	as.prof.Charge(profile.TLBFlush, 1)
 	return newPMD
 }
 
@@ -571,7 +568,9 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 		}
 		splitStart = time.Now()
 	}
-	newLeaf.CopyEntriesFrom(old, as.prof)
+	newLeaf.CopyEntriesFrom(old)
+	framesP := framePool.Get().(*[]phys.Frame)
+	frames := (*framesP)[:0]
 	for i := 0; i < addr.EntriesPerTable; i++ {
 		e := old.Entry(i)
 		if e.Swapped() {
@@ -591,11 +590,14 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 		}
 		// The new table takes its own reference on every page it maps
 		// (§3.6: exactly one page reference per present entry per table).
-		as.alloc.Get(e.Frame())
+		frames = append(frames, e.Frame())
 		if m := as.trk(); m != nil {
 			m.PageMapped(e.Frame(), newLeaf, i, as)
 		}
 	}
+	as.alloc.GetBatch(frames)
+	*framesP = frames[:0]
+	framePool.Put(framesP)
 	if as.alloc.PTSharePut(old.Frame) == 0 {
 		panic("core: shared table refcount reached zero during split")
 	}
@@ -609,7 +611,6 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 	// The old table's entries were COW-downgraded: every sharer's TLB
 	// may hold stale writable translations.
 	as.sd.Broadcast()
-	as.prof.Charge(profile.TLBFlush, 1)
 	if !splitStart.IsZero() && as.met.Enabled() {
 		as.met.Fault.TableCopyLatency.ObserveTagged(time.Since(splitStart), as.curReq.Load())
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem/pagetable"
 	"repro/internal/mem/phys"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -155,8 +154,23 @@ func Fork(parent *AddressSpace, mode ForkMode) *AddressSpace {
 // remain COW-downgraded; the first write fault per region re-dedicates
 // them through the engine's fast path, so only latent re-promotion
 // work survives an abort, never lost memory.
+//
+// Like an access, a fork that runs out of frames stalls in direct
+// reclaim with the parent's lock released, then retries: reclaim run
+// from inside the fork cannot evict the parent's own pages, because
+// the fork holds the parent's lock.
 func ForkWithOptions(parent *AddressSpace, mode ForkMode, opts ForkOptions) (*AddressSpace, error) {
 	workers := opts.workers() // validate before taking any lock
+	for tries := 0; ; tries++ {
+		child, err := parent.forkOnce(mode, opts, workers)
+		if err == nil || tries >= oomRetries || !parent.stallReclaim(tries) {
+			return child, err
+		}
+	}
+}
+
+// forkOnce is one attempt of ForkWithOptions.
+func (parent *AddressSpace) forkOnce(mode ForkMode, opts ForkOptions, workers int) (*AddressSpace, error) {
 	m := parent.met
 	tr := parent.trc
 	var forkStart time.Time
@@ -192,7 +206,7 @@ func ForkWithOptions(parent *AddressSpace, mode ForkMode, opts ForkOptions) (*Ad
 			}
 			forkErr = ErrOutOfMemory
 		}()
-		child = getSpace(parent.alloc, parent.prof, parent.sd, parent.rec)
+		child = getSpace(parent.alloc, parent.sd, parent.rec)
 		// The child belongs to the parent's tenant: its bookkeeping
 		// tables and every frame it faults in are charged to the same
 		// account, and scoped failpoints target its lineage too.
@@ -246,7 +260,6 @@ func ForkWithOptions(parent *AddressSpace, mode ForkMode, opts ForkOptions) (*Ad
 			tlbStart = time.Now()
 		}
 		parent.sd.Broadcast()
-		parent.prof.Charge(profile.TLBFlush, 1)
 		tr.SpanReq(trace.KindForkStage, trace.StageTLB, trace.ActorApp, tlbStart, 0, 0, req)
 		if !forkStart.IsZero() && m.Enabled() {
 			// metrics.ForkEngine values mirror ForkMode, so the cast is the
@@ -290,6 +303,14 @@ func (parent *AddressSpace) abortFork(child *AddressSpace, mode ForkMode) {
 	}
 }
 
+// noteUpperWalk counts one upper-level (PGD/PUD) entry visited while
+// duplicating the hierarchy; PMD-level visits are counted per range.
+func (as *AddressSpace) noteUpperWalk() {
+	if as.met.Enabled() {
+		as.met.Fork.UpperWalks.Inc()
+	}
+}
+
 // noteFanOut records one parallel fork and its task count.
 func noteFanOut(m *metrics.Registry, nTasks int) {
 	if m.Enabled() {
@@ -326,7 +347,7 @@ func (as *AddressSpace) copyTreeClassic(src, dst *pagetable.Table, child *Addres
 		if childTable == nil {
 			continue
 		}
-		as.prof.Charge(profile.UpperWalk, 1)
+		as.noteUpperWalk()
 		as.failInject(fp, failpoint.ForkWalk)
 		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
 		dst.SetChild(i, newTable, src.Entry(i))
@@ -336,7 +357,8 @@ func (as *AddressSpace) copyTreeClassic(src, dst *pagetable.Table, child *Addres
 
 // framePool recycles the per-range scratch slice that batches page
 // reference increments through GetBatch, so a warm fork range takes no
-// allocation for it.
+// allocation for it. Shared-table splits batch their increments the
+// same way.
 var framePool = sync.Pool{New: func() any {
 	s := make([]phys.Frame, 0, addr.EntriesPerTable)
 	return &s
@@ -346,11 +368,11 @@ var framePool = sync.Pool{New: func() any {
 // the unit of work one parallel-fork task performs (actor names the
 // worker running it). Per-page refcount traffic is batched per leaf
 // table through GetBatch, which preserves per-frame semantics while
-// charging the profiler per batch. The destination table's tallies,
-// the tables-copied metric, and the upper-walk profile charge are
-// likewise applied once per range instead of once per slot; the flush
-// runs deferred so a mid-range allocation panic still leaves dst's
-// tallies consistent for the rollback's teardown.
+// charging the RefIncs metric per batch. The destination table's
+// tallies and the tables-copied, PTEs-copied and upper-walk metrics
+// are likewise applied once per range instead of once per slot; the
+// flush runs deferred so a mid-range allocation panic still leaves
+// dst's tallies consistent for the rollback's teardown.
 func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi int, child *AddressSpace, actor int32) {
 	var rangeStart time.Time
 	var req uint64
@@ -363,13 +385,12 @@ func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi in
 	framesP := framePool.Get().(*[]phys.Frame)
 	frames := (*framesP)[:0]
 	var d pagetable.TallyDelta
-	var copied, walked uint64
+	var copied, ptes, walked uint64
 	defer func() {
 		dst.FlushTally(d)
-		if walked != 0 {
-			as.prof.Charge(profile.UpperWalk, walked)
-		}
-		if copied != 0 && as.met.Enabled() {
+		if walked != 0 && as.met.Enabled() {
+			as.met.Fork.UpperWalks.Add(walked)
+			as.met.Fork.PTEsCopied.Add(ptes)
 			as.met.Fork.TablesCopied.Add(copied)
 		}
 		*framesP = frames[:0]
@@ -415,7 +436,7 @@ func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi in
 				m.PageMapped(le.Frame(), newLeaf, li, child)
 			}
 		}
-		as.prof.Charge(profile.CopyOnePTE, uint64(len(frames)))
+		ptes += uint64(len(frames))
 		as.alloc.GetBatch(frames)
 		leaf.Unlock()
 		// Install the child slot writable at the PMD level in one entry
@@ -464,7 +485,7 @@ func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *Addre
 		if childTable == nil {
 			continue
 		}
-		as.prof.Charge(profile.UpperWalk, 1)
+		as.noteUpperWalk()
 		if opts.ShareHugePMD && childTable.Level == addr.PMD && hugeOnly(childTable) {
 			as.sharePMDTable(src, dst, i, childTable, child)
 			continue
@@ -479,9 +500,9 @@ func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *Addre
 // copyPMDRangeOnDemand shares the last-level tables of PMD slots
 // [lo, hi) with the child — the unit of work one parallel-fork task
 // performs on the on-demand path (actor names the worker running it).
-// Like the classic range, it batches the child table's tallies, the
-// tables-shared metric, and the upper-walk profile charge per range;
-// the deferred flush keeps dst consistent across a mid-range abort.
+// Like the classic range, it batches the child table's tallies and the
+// tables-shared and upper-walk metrics per range; the deferred flush
+// keeps dst consistent across a mid-range abort.
 func (as *AddressSpace) copyPMDRangeOnDemand(src, dst *pagetable.Table, lo, hi int, child *AddressSpace, opts ForkOptions, actor int32) {
 	var rangeStart time.Time
 	var req uint64
@@ -495,10 +516,8 @@ func (as *AddressSpace) copyPMDRangeOnDemand(src, dst *pagetable.Table, lo, hi i
 	var nShared, walked uint64
 	defer func() {
 		dst.FlushTally(d)
-		if walked != 0 {
-			as.prof.Charge(profile.UpperWalk, walked)
-		}
-		if nShared != 0 && as.met.Enabled() {
+		if walked != 0 && as.met.Enabled() {
+			as.met.Fork.UpperWalks.Add(walked)
 			as.met.Fork.TablesShared.Add(nShared)
 		}
 	}()

@@ -12,7 +12,7 @@ package core
 // table nobody else can reach (distinct array indices of private
 // tables), reads of source entries are atomic words, shared leaf
 // tables are taken under their own locks exactly as in the sequential
-// engine, and all profile/refcount traffic is atomic. The WaitGroup in
+// engine, and all metric/refcount traffic is atomic. The WaitGroup in
 // forkRun.execute gives the caller a happens-before edge over
 // everything the workers wrote.
 
@@ -27,7 +27,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/pagetable"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -261,7 +260,7 @@ func (as *AddressSpace) collectClassicTasks(src, dst *pagetable.Table, child *Ad
 		if childTable == nil {
 			continue
 		}
-		as.prof.Charge(profile.UpperWalk, 1)
+		as.noteUpperWalk()
 		as.failInject(fp, failpoint.ForkWalk)
 		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
 		dst.SetChild(i, newTable, src.Entry(i))
@@ -284,7 +283,7 @@ func (as *AddressSpace) collectOnDemandTasks(src, dst *pagetable.Table, child *A
 		if childTable == nil {
 			continue
 		}
-		as.prof.Charge(profile.UpperWalk, 1)
+		as.noteUpperWalk()
 		if opts.ShareHugePMD && childTable.Level == addr.PMD && hugeOnly(childTable) {
 			as.sharePMDTable(src, dst, i, childTable, child)
 			continue

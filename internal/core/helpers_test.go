@@ -1,5 +1,10 @@
 package core
 
+import (
+	"repro/internal/mem/phys"
+	"repro/internal/metrics"
+)
+
 // mustForkOpts is the test-side shim over ForkWithOptions for the many
 // call sites that want the historical single-value shape: a fork that
 // fails (frame limit, injected fault) panics instead of returning an
@@ -11,4 +16,23 @@ func mustForkOpts(parent *AddressSpace, mode ForkMode, opts ForkOptions) *Addres
 		panic(err)
 	}
 	return child
+}
+
+// newMeteredSpace returns an empty address space whose allocator
+// charges a fresh metrics registry.
+func newMeteredSpace() (*AddressSpace, *metrics.Registry) {
+	m := metrics.New()
+	alloc := phys.NewAllocator()
+	alloc.SetMetrics(m)
+	return NewAddressSpace(alloc), m
+}
+
+// attributionCounts maps each Figure 3 line item charged in d to its
+// event count.
+func attributionCounts(d metrics.Snapshot) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, r := range metrics.Attribution(d) {
+		out[r.Name] = r.Count
+	}
+	return out
 }

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mem/addr"
-	"repro/internal/mem/phys"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
 )
 
 // parOpts forces fan-out regardless of address-space size, so the
@@ -50,34 +48,33 @@ func TestForkParallelMatchesSequential(t *testing.T) {
 // TestForkParallelProfileCounts pins the semantic equivalence of the
 // fan-out: a parallel fork must perform exactly the same per-page and
 // per-table accounting work as a sequential one — batching may merge
-// profiler charges, never change their totals.
+// metric charges, never change their totals. The shard events are left
+// out: which shard serves a table allocation depends on the worker.
 func TestForkParallelProfileCounts(t *testing.T) {
 	for _, mode := range forkModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			counts := func(workers int) map[string]uint64 {
-				prof := profile.New()
-				as := NewAddressSpace(phys.NewAllocator(prof), prof)
+				as, m := newMeteredSpace()
 				defer as.Teardown()
 				size := uint64(5 * addr.PTECoverage)
 				base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 				fillPattern(t, as, base, size, 0x11)
-				prof.Reset()
+				before := m.Snapshot()
 				child := mustForkOpts(as, mode, parOpts(workers))
 				defer child.Teardown()
-				out := map[string]uint64{}
-				for _, name := range []string{
-					profile.CopyOnePTE, profile.PageRefInc, profile.CompoundHead,
-					profile.PTShareInc, profile.UpperWalk, profile.TLBFlush,
-				} {
-					out[name] = prof.Count(name)
-				}
-				return out
+				return attributionCounts(m.Snapshot().Sub(before))
 			}
 			seq, par := counts(1), counts(4)
-			for name, want := range seq {
-				if got := par[name]; got != want {
+			for _, name := range []string{
+				"copy_one_pte", "page_ref_inc", "compound_head",
+				"pt_share_inc", "upper_level_walk", "tlb_flush",
+			} {
+				if got, want := par[name], seq[name]; got != want {
 					t.Errorf("%s: parallel fork charged %d, sequential %d", name, got, want)
 				}
+			}
+			if seq["upper_level_walk"] == 0 || seq["tlb_flush"] != 1 {
+				t.Errorf("sequential fork counts %v: want upper-level walks and one TLB flush", seq)
 			}
 		})
 	}
@@ -148,13 +145,12 @@ func TestForkParallelBelowThreshold(t *testing.T) {
 // fault-write into the leaves they still share with the parent. Run
 // under -race this exercises every cross-goroutine edge of the
 // parallel engine: shared leaf locks, share counters, the sharded
-// allocator, and the profiler.
+// allocator, and the metrics counters.
 func TestConcurrentForkFaultStress(t *testing.T) {
 	for _, mode := range forkModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			prof := profile.New()
-			alloc := phys.NewAllocator(prof)
-			as := NewAddressSpace(alloc, prof)
+			as, _ := newMeteredSpace()
+			alloc := as.alloc
 			size := uint64(8 * addr.PTECoverage)
 			base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 			fillPattern(t, as, base, size, 0x5A)

@@ -40,8 +40,8 @@ func TestQuickForkLineage(t *testing.T) {
 	)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		alloc := phys.NewAllocator(nil)
-		root := NewAddressSpace(alloc, nil)
+		alloc := phys.NewAllocator()
+		root := NewAddressSpace(alloc)
 		base, err := root.Mmap(0, size, rw, vm.MapPrivate|vm.MapPopulate, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -156,8 +156,8 @@ func TestQuickForkLineage(t *testing.T) {
 func TestQuickUnmapRemapLineage(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		alloc := phys.NewAllocator(nil)
-		parent := NewAddressSpace(alloc, nil)
+		alloc := phys.NewAllocator()
+		parent := NewAddressSpace(alloc)
 		size := uint64(2 * addr.PTECoverage)
 		base, err := parent.Mmap(0, size, rw, vm.MapPrivate|vm.MapPopulate, nil, 0)
 		if err != nil {

@@ -18,14 +18,14 @@ import (
 // explicitly through ReclaimFrames.
 func newReclaimSpace(t *testing.T) (*AddressSpace, *reclaim.Manager) {
 	t.Helper()
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	met := metrics.New()
 	alloc.SetMetrics(met)
 	m := reclaim.NewManager(alloc, met)
 	alloc.SetReclaimer(m)
 	m.SetEnabled(true)
 	t.Cleanup(func() { m.SetEnabled(false) })
-	return NewAddressSpace(alloc, nil), m
+	return NewAddressSpace(alloc), m
 }
 
 // expectPattern checks the region against what fillPattern wrote.
@@ -211,10 +211,10 @@ func TestDirectReclaimSurvivesFrameLimit(t *testing.T) {
 // (the default kernel state), frame-limit pressure behaves exactly as
 // before the subsystem existed — immediate ErrOutOfMemory, no tracking.
 func TestSwapDisabledEquivalence(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	m := reclaim.NewManager(alloc, metrics.New())
 	alloc.SetReclaimer(m)
-	as := NewAddressSpace(alloc, nil)
+	as := NewAddressSpace(alloc)
 	defer as.Teardown()
 
 	base := mustMmap(t, as, 64*addr.PageSize, rw, vm.MapPrivate)
@@ -316,7 +316,7 @@ func TestSwappedPagesAcrossManyForks(t *testing.T) {
 
 // TestFileStoreBackedReclaim swaps to a real file and round-trips.
 func TestFileStoreBackedReclaim(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	m := reclaim.NewManager(alloc, metrics.New())
 	alloc.SetReclaimer(m)
 	fs, err := reclaim.NewFileStore(t.TempDir() + "/swap")
@@ -328,7 +328,7 @@ func TestFileStoreBackedReclaim(t *testing.T) {
 	}
 	m.SetEnabled(true)
 	t.Cleanup(func() { m.SetEnabled(false) })
-	as := NewAddressSpace(alloc, nil)
+	as := NewAddressSpace(alloc)
 	defer as.Teardown()
 
 	const pages = 32
@@ -395,5 +395,36 @@ func TestMremapSwapped(t *testing.T) {
 	expectPattern(t, as, nbase, pages*addr.PageSize, 0x66)
 	if err := CheckInvariants(as); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForkStallsInReclaimAtLimit forks a space sitting exactly at its
+// frame limit whose only reclaimable pages are its own. Reclaim run
+// from inside the fork cannot evict them — the fork holds the parent's
+// lock — so the fork must unwind, stall in reclaim with the lock
+// released, and retry, as an access does.
+func TestForkStallsInReclaimAtLimit(t *testing.T) {
+	for _, mode := range forkModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			as, _ := newReclaimSpace(t)
+			defer as.Teardown()
+			const pages = 64
+			size := uint64(pages * addr.PageSize)
+			base := mustMmap(t, as, size, rw, vm.MapPrivate)
+			fillPattern(t, as, base, size, 0x3C)
+			alloc := as.Allocator()
+			alloc.SetLimit(alloc.Allocated())
+			defer alloc.SetLimit(0)
+
+			child, err := ForkWithOptions(as, mode, ForkOptions{})
+			if err != nil {
+				t.Fatalf("fork at the frame limit with %d cold pages: %v", pages, err)
+			}
+			defer child.Teardown()
+			expectPattern(t, child, base, size, 0x3C)
+			if err := CheckInvariants(as, child); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

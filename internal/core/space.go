@@ -30,7 +30,6 @@ import (
 	"repro/internal/mem/tlb"
 	"repro/internal/mem/vm"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -48,7 +47,6 @@ type AddressSpace struct {
 	w     pagetable.Walker // by value: one less pointer chase and alloc per fork
 	vmas  *vm.Set
 	alloc *phys.Allocator
-	prof  *profile.Profiler
 	met   *metrics.Registry
 	trc   *trace.Tracer
 
@@ -106,17 +104,15 @@ var spacePool = sync.Pool{New: func() any { return new(AddressSpace) }}
 
 // getSpace returns a clean AddressSpace shell for the given kernel
 // attachments, reusing a pooled shell when one is available.
-func getSpace(alloc *phys.Allocator, prof *profile.Profiler, sd *tlb.Shootdown, rec *reclaim.Manager) *AddressSpace {
+func getSpace(alloc *phys.Allocator, sd *tlb.Shootdown, rec *reclaim.Manager) *AddressSpace {
 	as := spacePool.Get().(*AddressSpace)
 	as.w.Root = pagetable.NewTable(alloc, addr.PGD)
 	as.w.Alloc = alloc
-	as.w.Prof = prof
 	as.w.Charger = nil
 	if as.vmas == nil {
 		as.vmas = &vm.Set{}
 	}
 	as.alloc = alloc
-	as.prof = prof
 	as.met = alloc.Metrics()
 	as.trc = alloc.Tracer()
 	as.sd = sd
@@ -155,15 +151,15 @@ func (as *AddressSpace) Recycle() {
 }
 
 // NewAddressSpace returns an empty address space drawing frames from
-// alloc. The profiler may be nil. The metrics registry is inherited
-// from the allocator (see phys.Allocator.SetMetrics), so the whole
-// memory stack of one kernel instruments into a single tree.
-func NewAddressSpace(alloc *phys.Allocator, prof *profile.Profiler) *AddressSpace {
+// alloc. The metrics registry is inherited from the allocator (see
+// phys.Allocator.SetMetrics), so the whole memory stack of one kernel
+// instruments into a single tree.
+func NewAddressSpace(alloc *phys.Allocator) *AddressSpace {
 	var rec *reclaim.Manager
 	if m, ok := alloc.ReclaimerHook().(*reclaim.Manager); ok {
 		rec = m
 	}
-	return getSpace(alloc, prof, &tlb.Shootdown{}, rec)
+	return getSpace(alloc, &tlb.Shootdown{}, rec)
 }
 
 // spaceIDs issues process-lifetime-unique address-space IDs for
@@ -718,7 +714,6 @@ func (as *AddressSpace) Mprotect(start addr.V, size uint64, prot vm.Prot) (err e
 		}
 	}
 	as.tlb.FlushRange(r)
-	as.prof.Charge(profile.TLBFlush, 1)
 	return nil
 }
 

@@ -7,11 +7,10 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/phys"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
 )
 
 func newSpace() *AddressSpace {
-	return NewAddressSpace(phys.NewAllocator(nil), nil)
+	return NewAddressSpace(phys.NewAllocator())
 }
 
 func mustMmap(t *testing.T, as *AddressSpace, size uint64, prot vm.Prot, flags vm.MapFlags) addr.V {
@@ -417,27 +416,57 @@ func TestAccessedDirtyBits(t *testing.T) {
 	}
 }
 
+// TestProfilerCountsFork pins the Figure 3 event counts of one fork of
+// four populated leaf tables, and of the write fault that splits a
+// shared table afterwards.
 func TestProfilerCountsFork(t *testing.T) {
-	p := profile.New()
-	as := NewAddressSpace(phys.NewAllocator(p), p)
+	as, m := newMeteredSpace()
 	defer as.Teardown()
-	mustMmap(t, as, 4*addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
-	p.Reset()
+	base := mustMmap(t, as, 4*addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 
+	before := m.Snapshot()
 	child := Fork(as, ForkClassic)
-	classicPTEs := p.Count(profile.CopyOnePTE)
-	if classicPTEs != 4*addr.EntriesPerTable {
-		t.Errorf("classic fork copied %d PTEs, want %d", classicPTEs, 4*addr.EntriesPerTable)
+	got := attributionCounts(m.Snapshot().Sub(before))
+	const ptes = 4 * addr.EntriesPerTable
+	// One PGD and one PUD entry lead to the PMD table, whose four
+	// present entries are walked too.
+	for name, want := range map[string]uint64{
+		"copy_one_pte": ptes, "page_ref_inc": ptes, "compound_head": ptes,
+		"upper_level_walk": 2 + 4, "tlb_flush": 1, "pt_share_inc": 0,
+	} {
+		if got[name] != want {
+			t.Errorf("classic fork %s = %d, want %d", name, got[name], want)
+		}
 	}
 	child.Teardown()
 
-	p.Reset()
+	before = m.Snapshot()
 	child2 := Fork(as, ForkOnDemand)
-	if got := p.Count(profile.CopyOnePTE); got != 0 {
-		t.Errorf("on-demand fork copied %d PTEs, want 0", got)
+	got = attributionCounts(m.Snapshot().Sub(before))
+	for name, want := range map[string]uint64{
+		"copy_one_pte": 0, "page_ref_inc": 0, "pt_share_inc": 4,
+		"upper_level_walk": 2 + 4, "tlb_flush": 1,
+	} {
+		if got[name] != want {
+			t.Errorf("on-demand fork %s = %d, want %d", name, got[name], want)
+		}
 	}
-	if got := p.Count(profile.PTShareInc); got != 4 {
-		t.Errorf("on-demand fork shared %d tables, want 4", got)
+
+	// The first write to a shared table copies it: one table copy, one
+	// lineage-wide TLB flush, a reference per mapped page (batched),
+	// and the page's own COW copy.
+	before = m.Snapshot()
+	if err := as.StoreByte(base, 1); err != nil {
+		t.Fatal(err)
+	}
+	got = attributionCounts(m.Snapshot().Sub(before))
+	for name, want := range map[string]uint64{
+		"pt_table_copy": 1, "tlb_flush": 1, "page_ref_inc": addr.EntriesPerTable,
+		"page_copy": 1, "page_fault": 1,
+	} {
+		if got[name] != want {
+			t.Errorf("split fault %s = %d, want %d", name, got[name], want)
+		}
 	}
 	child2.Teardown()
 }

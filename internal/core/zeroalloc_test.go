@@ -30,9 +30,9 @@ func zeroAllocParent(t *testing.T) (*AddressSpace, addr.V) {
 // attached to the allocator (nil = uninstrumented).
 func zeroAllocParentWith(t *testing.T, met *metrics.Registry) (*AddressSpace, addr.V) {
 	t.Helper()
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	alloc.SetMetrics(met)
-	parent := NewAddressSpace(alloc, nil)
+	parent := NewAddressSpace(alloc)
 	base, err := parent.Mmap(0, zeroAllocMapBytes, vm.ProtRead|vm.ProtWrite,
 		vm.MapPrivate|vm.MapPopulate, nil, 0)
 	if err != nil {

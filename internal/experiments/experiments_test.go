@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/profile"
 )
 
 // Tiny scales so the whole experiment surface runs in test time.
@@ -61,21 +59,20 @@ func TestRunFig2(t *testing.T) {
 }
 
 func TestRunFig3(t *testing.T) {
-	prof, text, err := RunFig3(64*MiB, 3)
+	rep, text, err := RunFig3(64*MiB, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The Figure 3 shape: compound_head + page_ref_inc dominate.
-	rep := prof.Report()
 	if len(rep) == 0 {
 		t.Fatal("empty profile")
 	}
-	if rep[0].Name != profile.CompoundHead {
+	if rep[0].Name != "compound_head" {
 		t.Errorf("top cost = %s, want compound_head", rep[0].Name)
 	}
 	var topTwo float64
 	for _, s := range rep {
-		if s.Name == profile.CompoundHead || s.Name == profile.PageRefInc {
+		if s.Name == "compound_head" || s.Name == "page_ref_inc" {
 			topTwo += s.Percent
 		}
 	}
@@ -84,6 +81,32 @@ func TestRunFig3(t *testing.T) {
 	}
 	if !strings.Contains(text, "compound_head") {
 		t.Error("text missing hotspot")
+	}
+}
+
+// TestRunFig3Counts pins the fork-path event counts of the Figure 3
+// run. They depend only on the address-space layout, not on the host
+// or GOMAXPROCS: 3 forks × 16,384 mapped pages, and per fork 32 PMD
+// entries plus one PGD and one PUD entry walked and one TLB flush.
+func TestRunFig3Counts(t *testing.T) {
+	rep, _, err := RunFig3(64*MiB, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for _, r := range rep {
+		got[r.Name] = r.Count
+	}
+	for name, want := range map[string]uint64{
+		"compound_head":    49152,
+		"page_ref_inc":     49152,
+		"copy_one_pte":     49152,
+		"upper_level_walk": 102,
+		"tlb_flush":        3,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %d, want %d", name, got[name], want)
+		}
 	}
 }
 

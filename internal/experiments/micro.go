@@ -15,7 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -87,29 +87,32 @@ func RunFig2(maxBytes uint64, reps int) ([]Fig2Row, string, error) {
 }
 
 // RunFig3 reproduces the Figure 3 profile: repeated classic forks of a
-// fixed-size process, with the cost-accounting attribution of the
-// simulated kernel functions (see DESIGN.md for the perf substitution).
-func RunFig3(size uint64, reps int) (*profile.Profiler, string, error) {
-	prof := profile.New()
-	k := kernel.New(kernel.WithProfiler(prof))
+// fixed-size process, with the cost attribution of the simulated kernel
+// functions computed from the metrics counters (see DESIGN.md for the
+// perf substitution). Only the forks are measured — each contributes
+// the metrics delta around its Fork call — so child teardown stays out
+// of the profile, like perf's fork focus.
+func RunFig3(size uint64, reps int) ([]metrics.CostRow, string, error) {
+	k := kernel.New()
 	p := k.NewProcess()
 	defer p.Exit()
 	if _, err := p.Mmap(size, vm.ProtRead|vm.ProtWrite, vm.MapPrivate|vm.MapPopulate); err != nil {
 		return nil, "", err
 	}
-	prof.Reset()
+	deltas := make([]metrics.Snapshot, 0, reps)
 	for i := 0; i < reps; i++ {
+		before := k.MetricsSnapshot()
 		c, err := p.Fork(kernel.WithMode(core.ForkClassic))
 		if err != nil {
 			return nil, "", err
 		}
-		prof.SetEnabled(false) // exclude child teardown, like perf's fork focus
+		deltas = append(deltas, k.MetricsSnapshot().Sub(before))
 		c.Exit()
-		prof.SetEnabled(true)
 	}
+	rows := metrics.Attribution(deltas...)
 	out := header(fmt.Sprintf("Figure 3: classic fork profile (%s, %d forks)", SizeLabel(size), reps)) +
-		prof.String()
-	return prof, out, nil
+		metrics.RenderAttribution(rows)
+	return rows, out, nil
 }
 
 // Fig7Row is one point of Figures 4 and 7. Min values are reported

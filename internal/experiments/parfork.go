@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
 	"repro/internal/stats"
 )
 
@@ -68,8 +67,7 @@ func RunParFork(maxBytes uint64, reps, maxWorkers int) ([]ParForkRow, string, er
 	if maxWorkers < 1 {
 		maxWorkers = 1
 	}
-	prof := profile.New()
-	k := kernel.New(kernel.WithProfiler(prof))
+	k := kernel.New()
 	base := k.MetricsSnapshot()
 	workers := parWorkerSet(maxWorkers)
 
@@ -151,8 +149,7 @@ func RunParFork(maxBytes uint64, reps, maxWorkers int) ([]ParForkRow, string, er
 	out += "\n" + header(fmt.Sprintf("Concurrent forks (%s each) with the parallel engine", SizeLabel(concSize))) +
 		ctb.String()
 
-	// The allocator shard counters the runs above exercised, read from
-	// the system-wide metrics snapshot rather than the profiler.
+	// The allocator shard counters the runs above exercised.
 	alloc := k.MetricsSnapshot().Alloc
 	stb := stats.NewTable("allocator shard counter", "events")
 	stb.AddRow("shard fast-path hits", int(alloc.ShardHits))

@@ -51,7 +51,7 @@ func TestProcHealthGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "checkpoints\nfailpoints\nhealth\nmetrics\ntenants\ntrace\nvmstat\n"; listing != want {
+	if want := "checkpoints\nfailpoints\nhealth\nmetrics\nprofile\ntenants\ntrace\nvmstat\n"; listing != want {
 		t.Errorf("listing after publish = %q, want %q", listing, want)
 	}
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/mem/reclaim"
 	"repro/internal/mem/vm"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
@@ -42,7 +41,6 @@ var ErrExited = errors.New("process has exited")
 // Kernel is the simulated operating system instance.
 type Kernel struct {
 	alloc   *phys.Allocator
-	prof    *profile.Profiler
 	met     *metrics.Registry
 	trc     *trace.Tracer
 	fsys    *fs.FileSystem
@@ -72,11 +70,6 @@ type Kernel struct {
 // Option configures a Kernel.
 type Option func(*Kernel)
 
-// WithProfiler attaches a cost profiler to the kernel's hot paths.
-func WithProfiler(p *profile.Profiler) Option {
-	return func(k *Kernel) { k.prof = p }
-}
-
 // WithDefaultForkMode sets the engine plain Fork calls use when no
 // per-process override exists. The default is the classic fork.
 func WithDefaultForkMode(m core.ForkMode) Option {
@@ -103,7 +96,7 @@ func New(opts ...Option) *Kernel {
 	for _, o := range opts {
 		o(k)
 	}
-	k.alloc = phys.NewAllocator(k.prof)
+	k.alloc = phys.NewAllocator()
 	k.alloc.SetMetrics(k.met)
 	// The flight recorder boots disabled (recording is opt-in via
 	// SetTraceEnabled) and must be attached before the reclaim manager
@@ -162,9 +155,6 @@ func (k *Kernel) MetricsSnapshot() metrics.Snapshot {
 // Allocator exposes the physical memory manager.
 func (k *Kernel) Allocator() *phys.Allocator { return k.alloc }
 
-// Profiler returns the kernel profiler (may be nil).
-func (k *Kernel) Profiler() *profile.Profiler { return k.prof }
-
 // FS returns the kernel's filesystem.
 func (k *Kernel) FS() *fs.FileSystem { return k.fsys }
 
@@ -176,7 +166,7 @@ func (k *Kernel) NewProcess() *Process {
 	p := &Process{
 		k:    k,
 		pid:  k.nextPID,
-		as:   core.NewAddressSpace(k.alloc, k.prof),
+		as:   core.NewAddressSpace(k.alloc),
 		done: make(chan struct{}),
 	}
 	k.nextPID++

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
+	"repro/internal/metrics"
 )
 
 const rw = vm.ProtRead | vm.ProtWrite
@@ -83,21 +83,28 @@ func TestForkSemanticsViaSyscalls(t *testing.T) {
 	}
 }
 
+// forkDelta forks p and returns the child with the metrics delta the
+// fork charged.
+func forkDelta(t *testing.T, k *Kernel, p *Process) (*Process, metrics.Snapshot) {
+	t.Helper()
+	before := k.MetricsSnapshot()
+	c, err := p.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, k.MetricsSnapshot().Sub(before)
+}
+
 func TestProcfsForkModeConfig(t *testing.T) {
-	p := profile.New()
-	k := New(WithProfiler(p))
+	k := New()
 	proc := k.NewProcess()
 	if _, err := proc.Mmap(2*addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate); err != nil {
 		t.Fatal(err)
 	}
 
 	// Default mode is classic: the fork copies PTEs.
-	p.Reset()
-	c1, err := proc.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Count(profile.CopyOnePTE); got == 0 {
+	c1, d := forkDelta(t, k, proc)
+	if d.Fork.PTEsCopied == 0 {
 		t.Error("default fork did not copy PTEs")
 	}
 	c1.Exit()
@@ -106,25 +113,17 @@ func TestProcfsForkModeConfig(t *testing.T) {
 	if err := k.SetForkMode(proc.PID(), core.ForkOnDemand); err != nil {
 		t.Fatal(err)
 	}
-	p.Reset()
-	c2, err := proc.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Count(profile.CopyOnePTE); got != 0 {
+	c2, d := forkDelta(t, k, proc)
+	if got := d.Fork.PTEsCopied; got != 0 {
 		t.Errorf("configured ODF fork copied %d PTEs", got)
 	}
-	if got := p.Count(profile.PTShareInc); got == 0 {
+	if d.Fork.TablesShared == 0 {
 		t.Error("configured ODF fork shared no tables")
 	}
 
 	// Children inherit the configuration.
-	p.Reset()
-	g, err := c2.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Count(profile.CopyOnePTE); got != 0 {
+	g, d := forkDelta(t, k, c2)
+	if d.Fork.PTEsCopied != 0 {
 		t.Error("child did not inherit fork mode")
 	}
 	g.Exit()
@@ -137,18 +136,13 @@ func TestProcfsForkModeConfig(t *testing.T) {
 }
 
 func TestDefaultForkModeOption(t *testing.T) {
-	p := profile.New()
-	k := New(WithProfiler(p), WithDefaultForkMode(core.ForkOnDemand))
+	k := New(WithDefaultForkMode(core.ForkOnDemand))
 	proc := k.NewProcess()
 	if _, err := proc.Mmap(addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate); err != nil {
 		t.Fatal(err)
 	}
-	p.Reset()
-	c, err := proc.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Count(profile.CopyOnePTE); got != 0 {
+	c, d := forkDelta(t, k, proc)
+	if d.Fork.PTEsCopied != 0 {
 		t.Error("default ODF kernel used classic fork")
 	}
 	c.Exit()

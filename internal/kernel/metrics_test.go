@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
+	"repro/internal/metrics"
 )
 
 const (
@@ -222,8 +222,7 @@ func TestMetricsDisabled(t *testing.T) {
 
 // TestProcfsRouter checks every route and the not-exist contract.
 func TestProcfsRouter(t *testing.T) {
-	prof := profile.New()
-	k := New(WithProfiler(prof))
+	k := New()
 	p := k.NewProcess()
 	defer p.Exit()
 	if _, err := p.Mmap(2*testMiB, testProt, testFlags); err != nil {
@@ -251,8 +250,12 @@ func TestProcfsRouter(t *testing.T) {
 	if metricsText != k.MetricsSnapshot().Render() {
 		t.Errorf("/proc/odf/metrics differs from MetricsSnapshot().Render()")
 	}
-	if _, err := k.Procfs("/proc/odf/profile"); err != nil {
-		t.Errorf("profile route with attached profiler: %v", err)
+	profileText, err := k.Procfs("/proc/odf/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := metrics.RenderAttribution(metrics.Attribution(k.MetricsSnapshot())); profileText != want {
+		t.Errorf("/proc/odf/profile = %q, want the attribution of MetricsSnapshot() %q", profileText, want)
 	}
 
 	for _, path := range []string{
@@ -263,12 +266,6 @@ func TestProcfsRouter(t *testing.T) {
 		if _, err := k.Procfs(path); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("Procfs(%q) = %v, want fs.ErrNotExist", path, err)
 		}
-	}
-
-	// Without a profiler the profile file does not exist.
-	k2 := New()
-	if _, err := k2.Procfs("/proc/odf/profile"); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("profile route without profiler = %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 //
 //	/proc/odf          — lists the registered odf endpoints, one per line
 //	/proc/odf/metrics  — system-wide telemetry (MetricsSnapshot rendering)
-//	/proc/odf/profile  — the Figure 3 cost-accounting profile, if a
-//	                     profiler is attached
+//	/proc/odf/profile  — the Figure 3 cost attribution, computed from
+//	                     the metrics counters
 //	/proc/odf/trace    — the flight-recorder timeline (human-readable)
 //	/proc/odf/vmstat   — reclaim/swap counters in /proc/vmstat style
 //	/proc/<pid>/maps   — the process's mappings

@@ -10,8 +10,7 @@ import (
 // (internal/slo) pushes its latest run summary here so it is readable
 // through the same procfs namespace as the rest of the system's
 // telemetry (/proc/odf/slo), the way the paper reads kernel state. The
-// endpoint is unbacked until a snapshot is published, like
-// /proc/odf/profile without a profiler.
+// endpoint is unbacked until a snapshot is published.
 
 // SLOStats is the published summary of one SLO harness run: the
 // offered versus achieved request rate, the client-observed latency

@@ -72,7 +72,7 @@ func TestProcSLOGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "checkpoints\nfailpoints\nmetrics\nslo\ntenants\ntrace\nvmstat\n"; listing != want {
+	if want := "checkpoints\nfailpoints\nmetrics\nprofile\nslo\ntenants\ntrace\nvmstat\n"; listing != want {
 		t.Errorf("listing after publish = %q, want %q", listing, want)
 	}
 

@@ -78,8 +78,8 @@ func (k *Kernel) traceExtra() trace.ChromeExtra {
 }
 
 // procEndpoint is one file under /proc/odf. read returns the content,
-// or ok=false when the endpoint is not backed right now (the profile
-// endpoint without an attached profiler).
+// or ok=false when the endpoint is not backed right now (the health or
+// slo endpoint before anything is published).
 type procEndpoint struct {
 	name string
 	read func() (string, bool)
@@ -101,10 +101,7 @@ func (k *Kernel) buildProcEndpoints() []procEndpoint {
 		}},
 		{"metrics", func() (string, bool) { return k.MetricsSnapshot().Render(), true }},
 		{"profile", func() (string, bool) {
-			if k.prof == nil {
-				return "", false
-			}
-			return k.prof.String(), true
+			return metrics.RenderAttribution(metrics.Attribution(k.MetricsSnapshot())), true
 		}},
 		{"slo", func() (string, bool) {
 			st, ok := k.SLO()

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +14,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/vm"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
 // TestProcOdfRootListing pins the /proc/odf directory listing: present
-// endpoints only, one per line, in the registry's fixed order, with
-// profile appearing exactly when a profiler is attached.
+// endpoints only, one per line, in the registry's fixed order. The
+// profile is computed from the metrics counters, so it is always
+// present; health and slo appear only once published.
 func TestProcOdfRootListing(t *testing.T) {
 	bare := New()
 	got, err := bare.Procfs("/proc/odf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "checkpoints\nfailpoints\nmetrics\ntenants\ntrace\nvmstat\n"; got != want {
-		t.Errorf("/proc/odf without profiler = %q, want %q", got, want)
+	if want := "checkpoints\nfailpoints\nmetrics\nprofile\ntenants\ntrace\nvmstat\n"; got != want {
+		t.Errorf("/proc/odf = %q, want %q", got, want)
 	}
 	// A trailing slash reads the same directory.
 	slash, err := bare.Procfs("/proc/odf/")
@@ -38,23 +39,14 @@ func TestProcOdfRootListing(t *testing.T) {
 		t.Errorf("/proc/odf/ = %q, want %q", slash, got)
 	}
 
-	profiled := New(WithProfiler(profile.New()))
-	got, err = profiled.Procfs("/proc/odf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "checkpoints\nfailpoints\nmetrics\nprofile\ntenants\ntrace\nvmstat\n"; got != want {
-		t.Errorf("/proc/odf with profiler = %q, want %q", got, want)
-	}
-
 	// Every listed name must itself resolve.
-	for _, name := range []string{"failpoints", "metrics", "profile", "trace", "vmstat"} {
-		if _, err := profiled.Procfs("/proc/odf/" + name); err != nil {
+	for _, name := range strings.Fields(got) {
+		if _, err := bare.Procfs("/proc/odf/" + name); err != nil {
 			t.Errorf("listed endpoint %s does not read: %v", name, err)
 		}
 	}
-	if _, err := bare.Procfs("/proc/odf/profile"); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("profile without profiler = %v, want fs.ErrNotExist", err)
+	if _, err := bare.Procfs("/proc/odf/slo"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("unpublished slo = %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/phys"
-	"repro/internal/profile"
 )
 
 func newWalker() *Walker {
-	return NewWalker(phys.NewAllocator(nil), nil)
+	return NewWalker(phys.NewAllocator())
 }
 
 func TestEntryEncoding(t *testing.T) {
@@ -88,7 +87,7 @@ func TestEnsureAndFind(t *testing.T) {
 }
 
 func TestFreshTableShareCountIsOne(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	tbl := NewTable(alloc, addr.PTE)
 	if got := tbl.ShareCount(alloc); got != 1 {
 		t.Errorf("fresh table share count = %d, want 1", got)
@@ -196,22 +195,18 @@ func TestEnsurePTEUnderHugePanics(t *testing.T) {
 }
 
 func TestCopyEntriesPreservesAccessed(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
-	prof := profile.New()
+	alloc := phys.NewAllocator()
 	src := NewTable(alloc, addr.PTE)
 	dst := NewTable(alloc, addr.PTE)
 	src.SetEntry(3, MakeEntry(99, FlagAccessed))
-	dst.CopyEntriesFrom(src, prof)
+	dst.CopyEntriesFrom(src)
 	if !dst.Entry(3).Accessed() {
 		t.Error("accessed bit lost in table copy")
-	}
-	if got := prof.Count(profile.PTCopy); got != 1 {
-		t.Errorf("PTCopy count = %d", got)
 	}
 }
 
 func TestCountPresent(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	tbl := NewTable(alloc, addr.PTE)
 	if got := tbl.PresentCount(); got != 0 {
 		t.Errorf("fresh PresentCount = %d", got)
@@ -292,7 +287,7 @@ func TestWalkMissingIntermediate(t *testing.T) {
 }
 
 func TestSetChildClear(t *testing.T) {
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	parent := NewTable(alloc, addr.PMD)
 	child := NewTable(alloc, addr.PTE)
 	parent.SetChild(4, child, FlagWritable)
@@ -376,7 +371,7 @@ func TestPresentHugeCounts(t *testing.T) {
 		}
 	}
 
-	alloc := phys.NewAllocator(nil)
+	alloc := phys.NewAllocator()
 	tb := NewTable(alloc, addr.PMD)
 	tb.SetEntry(0, MakeEntry(100, FlagWritable))
 	check(tb, "set")
@@ -398,7 +393,7 @@ func TestPresentHugeCounts(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src.SetEntry(i*3, MakeEntry(phys.Frame(200+i), FlagHuge))
 	}
-	tb.CopyEntriesFrom(src, nil)
+	tb.CopyEntriesFrom(src)
 	check(tb, "copy entries")
 
 	rng := rand.New(rand.NewSource(7))
@@ -412,7 +407,7 @@ func TestPresentHugeCounts(t *testing.T) {
 		case 2:
 			tb.OrEntry(slot, Entry(rng.Intn(1<<10)))
 		case 3:
-			tb.CopyEntriesFrom(src, nil)
+			tb.CopyEntriesFrom(src)
 		}
 	}
 	check(tb, "randomized")

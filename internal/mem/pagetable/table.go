@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/phys"
-	"repro/internal/profile"
 )
 
 // Table is one node of the paging hierarchy. Every table is backed by a
@@ -275,11 +274,9 @@ func (t *Table) FlushTally(d TallyDelta) {
 // CopyEntriesFrom copies all 512 architectural entries of src into t,
 // preserving accessed bits (§3.2: the accessed bit value is duplicated
 // when copying shared page tables). It is the bulk work of a PTE-table
-// copy-on-write split and charges the corresponding profile counter.
-// Tally updates are batched: three atomic adds per table instead of up
-// to three per entry.
-func (t *Table) CopyEntriesFrom(src *Table, prof *profile.Profiler) {
-	prof.Charge(profile.PTCopy, 1)
+// copy-on-write split. Tally updates are batched: three atomic adds per
+// table instead of up to three per entry.
+func (t *Table) CopyEntriesFrom(src *Table) {
 	var d TallyDelta
 	for i := range t.entries {
 		ne := Entry(src.entries[i].Load())
@@ -293,18 +290,16 @@ func (t *Table) CopyEntriesFrom(src *Table, prof *profile.Profiler) {
 type Walker struct {
 	Root  *Table
 	Alloc *phys.Allocator
-	Prof  *profile.Profiler
 	// Charger is the tenant account tables allocated by the Ensure*
 	// walks are charged to (nil = unaccounted).
 	Charger phys.FrameCharger
 }
 
 // NewWalker returns a walker over a fresh 4-level hierarchy.
-func NewWalker(alloc *phys.Allocator, prof *profile.Profiler) *Walker {
+func NewWalker(alloc *phys.Allocator) *Walker {
 	return &Walker{
 		Root:  NewTable(alloc, addr.PGD),
 		Alloc: alloc,
-		Prof:  prof,
 	}
 }
 
@@ -319,7 +314,6 @@ func (w *Walker) EnsurePMD(v addr.V) (*Table, int) {
 			child = NewTableFor(w.Alloc, lvl+1, w.Charger)
 			t.SetChild(i, child, FlagWritable|FlagUser)
 		}
-		w.Prof.Charge(profile.UpperWalk, 1)
 		t = child
 	}
 	return t, v.Index(addr.PMD)
@@ -338,7 +332,6 @@ func (w *Walker) EnsurePTE(v addr.V) (*Table, int) {
 		leaf = NewTableFor(w.Alloc, addr.PTE, w.Charger)
 		pmd.SetChild(pi, leaf, FlagWritable|FlagUser)
 	}
-	w.Prof.Charge(profile.UpperWalk, 1)
 	return leaf, v.Index(addr.PTE)
 }
 
@@ -351,7 +344,6 @@ func (w *Walker) EnsurePUD(v addr.V) (*Table, int) {
 		child = NewTableFor(w.Alloc, addr.PUD, w.Charger)
 		w.Root.SetChild(i, child, FlagWritable|FlagUser)
 	}
-	w.Prof.Charge(profile.UpperWalk, 1)
 	return child, v.Index(addr.PUD)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBuddyAlignment(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	for i := 0; i < 4; i++ {
 		h := a.AllocHuge()
 		if uint64(h)%(1<<HugeOrder) != 0 {
@@ -18,7 +18,7 @@ func TestBuddyAlignment(t *testing.T) {
 }
 
 func TestBuddyCoalescing(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	// Allocate a full maximal block's worth of single frames, free them
 	// all; the buddy system must coalesce back to maximal blocks only.
 	n := 1 << MaxOrder
@@ -48,7 +48,7 @@ func TestBuddyCoalescing(t *testing.T) {
 }
 
 func TestBuddyMixedOrders(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	h := a.AllocHuge()
 	f := a.Alloc()
 	// The single frame must not fall inside the huge block.
@@ -63,7 +63,7 @@ func TestBuddyMixedOrders(t *testing.T) {
 }
 
 func TestBuddySplitReuse(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	// Free a huge block, then allocate singles: they must be carved from
 	// the freed block (no growth).
 	h := a.AllocHuge()
@@ -83,7 +83,7 @@ func TestBuddySplitReuse(t *testing.T) {
 func TestQuickBuddyConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := NewAllocator(nil)
+		a := NewAllocator()
 		type block struct {
 			head Frame
 			n    Frame
@@ -137,7 +137,7 @@ func TestQuickBuddyConsistency(t *testing.T) {
 }
 
 func TestLimitAndTryAlloc(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	a.SetLimit(2)
 	f1, err := a.TryAlloc()
 	if err != nil {
@@ -160,7 +160,7 @@ func TestLimitAndTryAlloc(t *testing.T) {
 }
 
 func TestAllocPanicsAtLimit(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	a.SetLimit(1)
 	a.Alloc()
 	defer func() {

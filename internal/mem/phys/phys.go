@@ -26,7 +26,6 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/bulk"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -86,7 +85,6 @@ type Allocator struct {
 	allocated atomic.Int64 // currently allocated base frames
 	peak      atomic.Int64 // high-water mark of allocated
 	totalOps  atomic.Uint64
-	prof      *profile.Profiler
 	met       atomic.Pointer[metrics.Registry]
 	trc       atomic.Pointer[trace.Tracer]
 	fail      atomic.Pointer[failpoint.Registry]
@@ -150,16 +148,13 @@ func (a *Allocator) SetLimit(frames int64) {
 	a.limit.Store(frames)
 }
 
-// NewAllocator returns an empty allocator. The profiler may be nil.
-func NewAllocator(prof *profile.Profiler) *Allocator {
-	a := &Allocator{next: 1, prof: prof, shards: newShards()}
+// NewAllocator returns an empty allocator.
+func NewAllocator() *Allocator {
+	a := &Allocator{next: 1, shards: newShards()}
 	empty := make([][]PageInfo, 0)
 	a.chunks.Store(&empty)
 	return a
 }
-
-// Profiler returns the profiler charged by this allocator (may be nil).
-func (a *Allocator) Profiler() *profile.Profiler { return a.prof }
 
 // SetMetrics attaches a metrics registry. The kernel calls this once
 // at boot; allocators built bare (unit tests) never pay for it because
@@ -382,10 +377,9 @@ func (a *Allocator) AllocHugeFor(c FrameCharger) Frame {
 }
 
 // CompoundHead resolves f to the head of its compound page (f itself
-// for ordinary pages), charging the cost of the struct page load that
-// dominates the paper's Figure 3 profile.
+// for ordinary pages): the struct page load that dominates the paper's
+// Figure 3 profile.
 func (a *Allocator) CompoundHead(f Frame) Frame {
-	a.prof.Charge(profile.CompoundHead, 1)
 	pi := a.info(f)
 	if pi.flags&flagCompoundTail != 0 {
 		return pi.head
@@ -408,8 +402,8 @@ func (a *Allocator) IsPageTable(f Frame) bool {
 // resolving compound pages first. This is the classic-fork hot path:
 // one compound_head + one atomic increment per mapped PTE.
 func (a *Allocator) Get(f Frame) {
+	a.noteRefIncs(1)
 	head := a.CompoundHead(f)
-	a.prof.Charge(profile.PageRefInc, 1)
 	pi := a.info(head)
 	if pi.refcount.Add(1) == 2 && pi.charger != nil {
 		pi.charger.AdjustShared(1)
@@ -417,20 +411,18 @@ func (a *Allocator) Get(f Frame) {
 }
 
 // GetBatch increments the reference count of every page in frames,
-// resolving compound pages, with the profiler charged once per counter
-// per batch instead of once per frame. Classic fork uses it to
-// amortize the per-page accounting of one leaf table into two charges,
-// while keeping eager-ref semantics: every frame still receives its
-// compound-head resolution and its own atomic increment, so the event
-// counts (the Figure 3 quantities) are identical to len(frames) calls
-// of Get.
+// resolving compound pages, with the RefIncs metric charged once per
+// batch instead of once per frame. Classic fork and shared-table
+// splits use it to amortize the per-page accounting of one leaf table
+// into one charge, while keeping eager-ref semantics: every frame
+// still receives its compound-head resolution and its own atomic
+// increment, so the event count (the Figure 3 quantity) is identical
+// to len(frames) calls of Get.
 func (a *Allocator) GetBatch(frames []Frame) {
 	if len(frames) == 0 {
 		return
 	}
-	n := uint64(len(frames))
-	a.prof.Charge(profile.CompoundHead, n)
-	a.prof.Charge(profile.PageRefInc, n)
+	a.noteRefIncs(uint64(len(frames)))
 	// One chunk-table load for the whole batch instead of one per
 	// frame; the snapshot is immutable once published (see info).
 	chunks := *a.chunks.Load()
@@ -442,6 +434,13 @@ func (a *Allocator) GetBatch(frames []Frame) {
 		if pi.refcount.Add(1) == 2 && pi.charger != nil {
 			pi.charger.AdjustShared(1)
 		}
+	}
+}
+
+// noteRefIncs charges n page reference increments to the RefIncs metric.
+func (a *Allocator) noteRefIncs(n uint64) {
+	if m := a.met.Load(); m.Enabled() {
+		m.Alloc.RefIncs.Add(n)
 	}
 }
 
@@ -463,15 +462,18 @@ func (a *Allocator) Put(f Frame) {
 		head = pi.head
 		pi = a.info(head)
 	}
-	a.prof.Charge(profile.PageRefDec, 1)
+	// Read the charger while this reference still pins the page: once
+	// the count drops, another holder's Put may release it and clear
+	// the field.
+	charger := pi.charger
 	switch n := pi.refcount.Add(-1); {
 	case n == 0:
 		a.release(head, pi)
 	case n < 0:
 		panic(fmt.Sprintf("phys: refcount of frame %d went negative", head))
 	case n == 1:
-		if pi.charger != nil {
-			pi.charger.AdjustShared(-1)
+		if charger != nil {
+			charger.AdjustShared(-1)
 		}
 	}
 }
@@ -558,7 +560,6 @@ func (a *Allocator) SplitHuge(head Frame) {
 // in the frame's struct page union and returns the new value. Used by
 // on-demand-fork in place of per-PTE reference counting.
 func (a *Allocator) PTShareGet(f Frame) int32 {
-	a.prof.Charge(profile.PTShareInc, 1)
 	return a.info(f).ptShared.Add(1)
 }
 
@@ -621,11 +622,8 @@ func (a *Allocator) PageIsZero(f Frame) bool {
 // copy is elided: the destination is left — or returned to — its
 // unmaterialized state, so the fault path skips both the 4 KiB
 // allocation and the clearing the old implementation paid for
-// zero-page COW. The profile counter still counts one page_copy event
-// either way, keeping the Figure 3 event counts equal to the number of
-// COW faults that requested a copy.
+// zero-page COW.
 func (a *Allocator) CopyPage(dst, src Frame) bool {
-	a.prof.Charge(profile.PageCopy, 1)
 	s := a.DataIfPresent(src)
 	if s == nil || bulk.IsZeroPage(s) {
 		// dst must read back as zeroes; only pay for that when it has
@@ -688,7 +686,7 @@ func (a *Allocator) Stats() Stats {
 // ablation uses it to price the work on-demand-fork's table-based
 // accounting (§3.6) avoids.
 func (a *Allocator) TouchRef(f Frame) {
+	a.noteRefIncs(1)
 	head := a.CompoundHead(f)
-	a.prof.Charge(profile.PageRefInc, 1)
 	a.info(head).refcount.Add(0)
 }

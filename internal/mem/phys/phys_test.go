@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem/addr"
-	"repro/internal/profile"
+	"repro/internal/metrics"
 )
 
 func TestAllocDistinctFrames(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	seen := make(map[Frame]bool)
 	for i := 0; i < 1000; i++ {
 		f := a.Alloc()
@@ -28,7 +28,7 @@ func TestAllocDistinctFrames(t *testing.T) {
 }
 
 func TestRefcountLifecycle(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.Alloc()
 	if got := a.RefCount(f); got != 1 {
 		t.Fatalf("fresh refcount = %d, want 1", got)
@@ -48,7 +48,7 @@ func TestRefcountLifecycle(t *testing.T) {
 }
 
 func TestFrameReuseAfterFree(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.Alloc()
 	a.Put(f)
 	g := a.Alloc()
@@ -61,7 +61,7 @@ func TestFrameReuseAfterFree(t *testing.T) {
 }
 
 func TestNegativeRefcountPanics(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.Alloc()
 	a.Put(f)
 	defer func() {
@@ -73,7 +73,7 @@ func TestNegativeRefcountPanics(t *testing.T) {
 }
 
 func TestDataLazyMaterialization(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.Alloc()
 	if a.DataIfPresent(f) != nil {
 		t.Error("fresh frame has materialized data")
@@ -94,7 +94,7 @@ func TestDataLazyMaterialization(t *testing.T) {
 }
 
 func TestDataClearedOnFree(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.Alloc()
 	a.Data(f)[0] = 0xFF
 	a.Put(f)
@@ -108,7 +108,7 @@ func TestDataClearedOnFree(t *testing.T) {
 }
 
 func TestCopyPage(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	src, dst := a.Alloc(), a.Alloc()
 	a.Data(src)[100] = 7
 	if !a.CopyPage(dst, src) {
@@ -143,7 +143,7 @@ func TestCopyPage(t *testing.T) {
 }
 
 func TestCompoundPage(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	head := a.AllocHuge()
 	if !a.IsHuge(head) {
 		t.Fatal("head not recognized as huge")
@@ -173,7 +173,7 @@ func TestCompoundPage(t *testing.T) {
 }
 
 func TestCompoundReuse(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	h1 := a.AllocHuge()
 	a.Put(h1)
 	h2 := a.AllocHuge()
@@ -186,7 +186,7 @@ func TestCompoundReuse(t *testing.T) {
 }
 
 func TestCopyHugePage(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	src, dst := a.AllocHuge(), a.AllocHuge()
 	a.Data(src + 511)[4095] = 0x5A
 	a.CopyHugePage(dst, src)
@@ -196,7 +196,7 @@ func TestCopyHugePage(t *testing.T) {
 }
 
 func TestPTShareCounter(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.AllocPageTable()
 	if !a.IsPageTable(f) {
 		t.Fatal("page-table flag missing")
@@ -214,7 +214,7 @@ func TestPTShareCounter(t *testing.T) {
 }
 
 func TestPTShareNegativePanics(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	f := a.AllocPageTable()
 	a.PTShareInit(f, 0)
 	defer func() {
@@ -225,25 +225,33 @@ func TestPTShareNegativePanics(t *testing.T) {
 	a.PTSharePut(f)
 }
 
+// TestProfilerCharges checks the Figure 3 reference-count events the
+// allocator charges: one RefIncs per Get or TouchRef, and one charge of
+// len(frames) per GetBatch.
 func TestProfilerCharges(t *testing.T) {
-	p := profile.New()
-	a := NewAllocator(p)
+	m := metrics.New()
+	a := NewAllocator()
+	a.SetMetrics(m)
 	f := a.Alloc()
 	a.Get(f)
-	if got := p.Count(profile.CompoundHead); got != 1 {
-		t.Errorf("CompoundHead count = %d, want 1", got)
+	if got := m.Alloc.RefIncs.Load(); got != 1 {
+		t.Errorf("RefIncs after Get = %d, want 1", got)
 	}
-	if got := p.Count(profile.PageRefInc); got != 1 {
-		t.Errorf("PageRefInc count = %d, want 1", got)
+	a.TouchRef(f)
+	if got := m.Alloc.RefIncs.Load(); got != 2 {
+		t.Errorf("RefIncs after TouchRef = %d, want 2", got)
 	}
-	a.PTShareGet(a.AllocPageTable())
-	if got := p.Count(profile.PTShareInc); got != 1 {
-		t.Errorf("PTShareInc count = %d, want 1", got)
+	a.GetBatch([]Frame{f, f, f})
+	if got := m.Alloc.RefIncs.Load(); got != 5 {
+		t.Errorf("RefIncs after GetBatch of 3 = %d, want 5", got)
+	}
+	if got := a.RefCount(f); got != 5 {
+		t.Errorf("refcount = %d, want 5", got)
 	}
 }
 
 func TestStatsAndPeak(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	fs := make([]Frame, 10)
 	for i := range fs {
 		fs[i] = a.Alloc()
@@ -268,7 +276,7 @@ func TestStatsAndPeak(t *testing.T) {
 }
 
 func TestConcurrentAllocFree(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	var wg sync.WaitGroup
 	const workers, per = 8, 500
 	for w := 0; w < workers; w++ {
@@ -296,7 +304,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 // zero live frames and never corrupts counts.
 func TestQuickRefcountBalance(t *testing.T) {
 	f := func(gets []uint8) bool {
-		a := NewAllocator(nil)
+		a := NewAllocator()
 		fr := a.Alloc()
 		n := 0
 		for _, g := range gets {
@@ -321,7 +329,7 @@ func TestQuickRefcountBalance(t *testing.T) {
 }
 
 func TestChunkGrowth(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	// Allocate past one chunk boundary to exercise arena growth.
 	n := chunkSize + 10
 	fs := make([]Frame, 0, n)
@@ -342,7 +350,7 @@ func TestChunkGrowth(t *testing.T) {
 }
 
 func TestInfoPanicsOnInvalid(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	defer func() {
 		if recover() == nil {
 			t.Error("Info(NoFrame) did not panic")

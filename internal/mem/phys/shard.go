@@ -20,10 +20,9 @@ package phys
 import (
 	"runtime"
 	"sync"
-	"unsafe"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/failpoint"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -55,16 +54,27 @@ func newShards() []shard {
 	return make([]shard, n)
 }
 
-// shardFor picks a shard for the calling goroutine. Go does not expose
-// CPU identity, so we hash the goroutine's stack address (stable per
-// goroutine for the life of a call frame, distinct across goroutines)
-// — the same affinity trick sync.Pool relies on pinning for. A wrong
-// guess costs contention, never correctness.
+// procPin and procUnpin are the runtime's P-pinning pair, the one
+// sync.Pool uses for its per-P caches. procPin returns the id of the
+// P (the scheduler's logical CPU) the goroutine runs on.
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
+
+// shardFor picks the shard of the P the calling goroutine runs on, the
+// analogue of Linux's per-CPU pageset: every call on one P, at any
+// call depth, gets the same shard. The pin is dropped at once — the
+// shard's own lock guards it — so a goroutine rescheduled onto another
+// P between a free and an alloc moves to that P's shard, as a task
+// migrated between CPUs does in Linux. A stale pick costs contention,
+// never correctness.
 func (a *Allocator) shardFor() *shard {
-	var probe byte
-	h := uintptr(unsafe.Pointer(&probe))
-	h ^= h >> 17 // mix: stacks are aligned, low bits carry little entropy
-	return &a.shards[(h>>3)&uintptr(len(a.shards)-1)]
+	p := procPin()
+	procUnpin()
+	return &a.shards[p&(len(a.shards)-1)]
 }
 
 // allocFrame hands out one order-0 frame: shard fast path first,
@@ -76,7 +86,6 @@ func (a *Allocator) allocFrame() Frame {
 		f := s.cache[n-1]
 		s.cache = s.cache[:n-1]
 		s.mu.Unlock()
-		a.prof.Charge(profile.ShardAllocHit, 1)
 		if m := a.met.Load(); m.Enabled() {
 			m.Alloc.ShardHits.Inc()
 		}
@@ -100,7 +109,6 @@ func (a *Allocator) allocFrame() Frame {
 	}
 	a.mu.Unlock()
 	s.mu.Unlock()
-	a.prof.Charge(profile.ShardRefill, 1)
 	if m := a.met.Load(); m.Enabled() {
 		m.Alloc.ShardRefills.Inc()
 	}
@@ -113,7 +121,7 @@ func (a *Allocator) allocFrame() Frame {
 // freeFrame returns one order-0 frame to the caller's shard, draining
 // the oldest batch to the buddy core when the cache is full. Draining
 // from the front keeps recently freed frames at the LIFO top, so a
-// free-then-alloc on one goroutine reuses the same (cache-hot) frame.
+// free-then-alloc on one P reuses the same (cache-hot) frame.
 func (a *Allocator) freeFrame(f Frame) {
 	s := a.shardFor()
 	s.mu.Lock()
@@ -130,7 +138,6 @@ func (a *Allocator) freeFrame(f Frame) {
 	n := copy(s.cache, s.cache[shardBatch:])
 	s.cache = s.cache[:n]
 	s.mu.Unlock()
-	a.prof.Charge(profile.ShardDrain, 1)
 	if m := a.met.Load(); m.Enabled() {
 		m.Alloc.ShardDrains.Inc()
 	}

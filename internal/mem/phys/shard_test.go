@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/profile"
+	"repro/internal/metrics"
 )
 
 // TestShardCountersCharged exercises every shard event kind on one
@@ -13,8 +13,9 @@ import (
 // from the refilled batch, and a drain once frees pile past the cache
 // high-water mark.
 func TestShardCountersCharged(t *testing.T) {
-	prof := profile.New()
-	a := NewAllocator(prof)
+	m := metrics.New()
+	a := NewAllocator()
+	a.SetMetrics(m)
 	const n = 4 * shardMax
 	frames := make([]Frame, 0, n)
 	for i := 0; i < n; i++ {
@@ -23,17 +24,17 @@ func TestShardCountersCharged(t *testing.T) {
 	for _, f := range frames {
 		a.Put(f)
 	}
-	if got := prof.Count(profile.ShardRefill); got == 0 {
+	hits := m.Alloc.ShardHits.Load()
+	refills := m.Alloc.ShardRefills.Load()
+	if refills == 0 {
 		t.Error("no shard refills charged")
 	}
-	if got := prof.Count(profile.ShardAllocHit); got == 0 {
+	if hits == 0 {
 		t.Error("no shard fast-path hits charged")
 	}
-	if got := prof.Count(profile.ShardDrain); got == 0 {
+	if got := m.Alloc.ShardDrains.Load(); got == 0 {
 		t.Error("no shard drains charged")
 	}
-	hits := prof.Count(profile.ShardAllocHit)
-	refills := prof.Count(profile.ShardRefill)
 	if hits+refills != n {
 		t.Errorf("hits (%d) + refills (%d) != allocations (%d)", hits, refills, n)
 	}
@@ -45,8 +46,7 @@ func TestShardCountersCharged(t *testing.T) {
 // everything is freed the buddy free lists account for every frame,
 // fully coalesced.
 func TestShardConcurrentAllocFree(t *testing.T) {
-	prof := profile.New()
-	a := NewAllocator(prof)
+	a := NewAllocator()
 
 	var ownedMu sync.Mutex
 	owned := make(map[Frame]int) // frame → goroutine currently holding it
@@ -124,7 +124,7 @@ func TestShardConcurrentAllocFree(t *testing.T) {
 // reservation admits exactly `limit` frames no matter how many
 // goroutines race for them.
 func TestShardLimitExactUnderConcurrency(t *testing.T) {
-	a := NewAllocator(nil)
+	a := NewAllocator()
 	const limit = 100
 	a.SetLimit(limit)
 

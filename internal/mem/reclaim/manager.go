@@ -727,7 +727,12 @@ func (m *Manager) balanceGuarded() {
 }
 
 // balance runs one kswapd episode: if free frames are below the low
-// watermark, reclaim up to the high watermark.
+// watermark, reclaim up to the high watermark. Like Linux's
+// balance_pgdat, the episode runs until the high watermark holds
+// against the current free count, not the count at wakeup: allocations
+// racing the episode would otherwise leave it short, above the low
+// watermark, where no later wakeup tops it up. It ends early when a
+// pass frees nothing (or swap is switched off, which fails every pass).
 func (m *Manager) balance() {
 	if !m.userWM.Load() {
 		m.applyAutoWatermarks()
@@ -745,7 +750,11 @@ func (m *Manager) balance() {
 		m.met.Reclaim.KswapdWakeups.Inc()
 	}
 	m.trc.Instant(trace.KindKswapdWake, trace.StageNone, trace.ActorKswapd, uint64(free), 0)
-	m.shrink(m.high.Load()-free, false)
+	for high := m.high.Load(); free < high; free = limit - m.alloc.Allocated() {
+		if m.shrink(high-free, false) == 0 {
+			return
+		}
+	}
 }
 
 // shrink frees up to target frames by evicting cold pages off the

@@ -35,6 +35,8 @@ func goldenSnapshot() Snapshot {
 	s.Fork.PMDTablesShared = 2
 	s.Fork.ParallelForks = 1
 	s.Fork.ParallelTasks = 4
+	s.Fork.PTEsCopied = 65_536
+	s.Fork.UpperWalks = 260
 
 	s.Fault.ReadFaults = 10
 	s.Fault.ReadLatency.Count = 10
@@ -63,6 +65,7 @@ func goldenSnapshot() Snapshot {
 	s.Alloc.ShardRefills = 4
 	s.Alloc.ShardDrains = 3
 	s.Alloc.HugeAllocs = 2
+	s.Alloc.RefIncs = 65_538
 	s.Alloc.FramesInUse = 5_000
 	s.Alloc.FramesPeak = 9_000
 	s.Alloc.ShardCached = 128

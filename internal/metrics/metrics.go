@@ -15,9 +15,10 @@
 //     time.Now() calls entirely. A nil *Registry reports disabled, so
 //     layers built without a registry need no special cases.
 //   - Typed, not stringly: metrics are struct fields, so the compiler
-//     checks every charge site and Snapshot() returns a typed tree
-//     (contrast internal/profile, the deprecated string-keyed cost
-//     model kept for the Figure 3 attribution).
+//     checks every charge site and Snapshot() returns a typed tree.
+//   - One counter per event: the paper's Figure 3 cost attribution is
+//     not a second counting channel but a view of these counters
+//     weighted by unit costs (Attribution, attribution.go).
 package metrics
 
 import (
@@ -280,6 +281,12 @@ type Registry struct {
 		// produced (tasks/forks ≈ achieved fan-out width).
 		ParallelForks Counter
 		ParallelTasks Counter
+		// PTEsCopied counts last-level entries the classic engine copied
+		// (Linux's copy_one_pte); UpperWalks counts the upper-level
+		// (PGD/PUD/PMD) entries either engine visited while duplicating
+		// the hierarchy. Both are charged once per range, not per entry.
+		PTEsCopied Counter
+		UpperWalks Counter
 	}
 
 	// Fault-path metrics (internal/core fault handler).
@@ -308,6 +315,10 @@ type Registry struct {
 		ShardRefills Counter // batched pulls from the buddy core
 		ShardDrains  Counter // batched returns to the buddy core
 		HugeAllocs   Counter // order-9 compound allocations (buddy direct)
+		// RefIncs counts page reference increments, each preceded by a
+		// compound-head resolution (Fig. 3's page_ref_inc and
+		// compound_head). Batched increments charge once per batch.
+		RefIncs Counter
 	}
 
 	// Reclaim metrics (internal/mem/reclaim): LRU scanning, eviction,
@@ -455,6 +466,8 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Fork.PMDTablesShared = r.Fork.PMDTablesShared.Load()
 	s.Fork.ParallelForks = r.Fork.ParallelForks.Load()
 	s.Fork.ParallelTasks = r.Fork.ParallelTasks.Load()
+	s.Fork.PTEsCopied = r.Fork.PTEsCopied.Load()
+	s.Fork.UpperWalks = r.Fork.UpperWalks.Load()
 
 	s.Fault.ReadFaults = r.Fault.ReadFaults.Load()
 	s.Fault.WriteFaults = r.Fault.WriteFaults.Load()
@@ -473,6 +486,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Alloc.ShardRefills = r.Alloc.ShardRefills.Load()
 	s.Alloc.ShardDrains = r.Alloc.ShardDrains.Load()
 	s.Alloc.HugeAllocs = r.Alloc.HugeAllocs.Load()
+	s.Alloc.RefIncs = r.Alloc.RefIncs.Load()
 
 	s.Reclaim.PgScanKswapd = r.Reclaim.PgScanKswapd.Load()
 	s.Reclaim.PgScanDirect = r.Reclaim.PgScanDirect.Load()

@@ -118,6 +118,8 @@ type ForkSnapshot struct {
 	PMDTablesShared uint64
 	ParallelForks   uint64
 	ParallelTasks   uint64
+	PTEsCopied      uint64
+	UpperWalks      uint64
 }
 
 // Classic returns the eager-copy engine's view.
@@ -150,6 +152,7 @@ type AllocSnapshot struct {
 	ShardRefills uint64
 	ShardDrains  uint64
 	HugeAllocs   uint64
+	RefIncs      uint64
 	FramesInUse  int64 // gauge: frames currently allocated
 	FramesPeak   int64 // gauge: high-water mark of FramesInUse
 	ShardCached  int64 // gauge: free frames parked in shard caches
@@ -296,6 +299,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d.Fork.PMDTablesShared = s.Fork.PMDTablesShared - prev.Fork.PMDTablesShared
 	d.Fork.ParallelForks = s.Fork.ParallelForks - prev.Fork.ParallelForks
 	d.Fork.ParallelTasks = s.Fork.ParallelTasks - prev.Fork.ParallelTasks
+	d.Fork.PTEsCopied = s.Fork.PTEsCopied - prev.Fork.PTEsCopied
+	d.Fork.UpperWalks = s.Fork.UpperWalks - prev.Fork.UpperWalks
 
 	d.Fault.ReadFaults = s.Fault.ReadFaults - prev.Fault.ReadFaults
 	d.Fault.WriteFaults = s.Fault.WriteFaults - prev.Fault.WriteFaults
@@ -314,6 +319,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d.Alloc.ShardRefills = s.Alloc.ShardRefills - prev.Alloc.ShardRefills
 	d.Alloc.ShardDrains = s.Alloc.ShardDrains - prev.Alloc.ShardDrains
 	d.Alloc.HugeAllocs = s.Alloc.HugeAllocs - prev.Alloc.HugeAllocs
+	d.Alloc.RefIncs = s.Alloc.RefIncs - prev.Alloc.RefIncs
 	d.Alloc.FramesInUse = s.Alloc.FramesInUse
 	d.Alloc.FramesPeak = s.Alloc.FramesPeak
 	d.Alloc.ShardCached = s.Alloc.ShardCached
@@ -422,6 +428,8 @@ func (s Snapshot) Render() string {
 	line("fork.pmd_tables_shared", s.Fork.PMDTablesShared)
 	line("fork.parallel.forks", s.Fork.ParallelForks)
 	line("fork.parallel.tasks", s.Fork.ParallelTasks)
+	line("fork.ptes_copied", s.Fork.PTEsCopied)
+	line("fork.upper_walks", s.Fork.UpperWalks)
 
 	line("fault.read.count", s.Fault.ReadFaults)
 	hist("fault.read.latency", s.Fault.ReadLatency)
@@ -440,6 +448,7 @@ func (s Snapshot) Render() string {
 	line("alloc.shard_refills", s.Alloc.ShardRefills)
 	line("alloc.shard_drains", s.Alloc.ShardDrains)
 	line("alloc.huge_allocs", s.Alloc.HugeAllocs)
+	line("alloc.ref_incs", s.Alloc.RefIncs)
 	gauge("alloc.frames_in_use", s.Alloc.FramesInUse)
 	gauge("alloc.frames_peak", s.Alloc.FramesPeak)
 	gauge("alloc.shard_cached", s.Alloc.ShardCached)

@@ -17,9 +17,8 @@
 //     overwritten events is reported as Snapshot.Dropped.
 //   - Lock-free: writers claim a slot with one atomic add and publish
 //     the event with one atomic pointer store; readers snapshot without
-//     stopping writers. Shards are picked by goroutine stack address
-//     (the same affinity trick the allocator's frame caches use), so
-//     concurrent forks rarely contend on a ring cursor.
+//     stopping writers. Shards are picked by goroutine stack address,
+//     so concurrent forks rarely contend on a ring cursor.
 //
 // The recorded timeline is exported three ways: a human-readable text
 // rendering (served at /proc/odf/trace), a Chrome trace-event JSON
@@ -411,8 +410,9 @@ func (t *Tracer) emit(e Event) {
 
 // shard picks a ring for the calling goroutine by hashing its stack
 // address — stable for the life of a call frame, distinct across
-// goroutines (see phys.Allocator.shardFor for the provenance of the
-// trick). A collision costs cursor contention, never correctness.
+// goroutines. Events carry their own timestamps, so a call-depth
+// dependent pick is harmless; a collision costs cursor contention,
+// never correctness.
 func (t *Tracer) shard() *ring {
 	var probe byte
 	h := uintptr(unsafe.Pointer(&probe))

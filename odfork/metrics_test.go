@@ -175,12 +175,9 @@ func TestProcfsNotExist(t *testing.T) {
 			t.Errorf("Procfs(%q) = %v, want fs.ErrNotExist", path, err)
 		}
 	}
-	// The profile file only exists when profiling is on.
-	if _, err := sys.Procfs("/proc/odf/profile"); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("profile without profiling = %v, want fs.ErrNotExist", err)
-	}
-	psys := odfork.NewSystem(odfork.WithProfiling())
-	if _, err := psys.Procfs("/proc/odf/profile"); err != nil {
-		t.Errorf("profile with profiling = %v, want nil", err)
+	// The profile is computed from the metrics counters, so it always
+	// exists.
+	if _, err := sys.Procfs("/proc/odf/profile"); err != nil {
+		t.Errorf("profile = %v, want nil", err)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/mem/reclaim"
 	"repro/internal/mem/vm"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -194,7 +193,9 @@ func WithSnapshotChild(fn func(*Process) error) SnapshotterOpt {
 }
 
 // WithSnapshotNotify calls fn after each snapshot's child work
-// completes.
+// completes. fn runs on the snapshot's child goroutine, and the
+// children of consecutive snapshots may overlap, so fn may run
+// concurrently with itself and must synchronize any state it shares.
 func WithSnapshotNotify(fn func(SnapshotStats)) SnapshotterOpt {
 	return kernel.WithSnapshotNotify(fn)
 }
@@ -267,14 +268,7 @@ type System struct {
 type Option func(*config)
 
 type config struct {
-	prof    *profile.Profiler
 	defMode Mode
-}
-
-// WithProfiling enables the cost-accounting profiler (see the
-// Figure 3 experiment); retrieve it with System.Profiler.
-func WithProfiling() Option {
-	return func(c *config) { c.prof = profile.New() }
 }
 
 // WithDefaultMode sets the engine used by plain Fork calls (Classic by
@@ -289,11 +283,7 @@ func NewSystem(opts ...Option) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	kopts := []kernel.Option{kernel.WithDefaultForkMode(cfg.defMode)}
-	if cfg.prof != nil {
-		kopts = append(kopts, kernel.WithProfiler(cfg.prof))
-	}
-	return &System{k: kernel.New(kopts...)}
+	return &System{k: kernel.New(kernel.WithDefaultForkMode(cfg.defMode))}
 }
 
 // NewProcess creates a process with an empty address space.
@@ -437,9 +427,6 @@ func (s *System) CreateFile(name string) *File { return s.k.FS().Create(name) }
 // OpenFile opens an existing in-memory file.
 func (s *System) OpenFile(name string) (*File, error) { return s.k.FS().Open(name) }
 
-// Profiler returns the cost profiler, or nil when profiling is off.
-func (s *System) Profiler() *profile.Profiler { return s.k.Profiler() }
-
 // LiveProcesses returns the number of processes that have not exited.
 func (s *System) LiveProcesses() int { return s.k.NumProcesses() }
 
@@ -447,11 +434,3 @@ func (s *System) LiveProcesses() int { return s.k.NumProcesses() }
 // (data pages and page tables) — useful for leak checking and for
 // observing the memory the fork engines save.
 func (s *System) AllocatedFrames() int64 { return s.k.Allocator().Allocated() }
-
-// Kernel exposes the underlying kernel.
-//
-// Deprecated: the escape hatch leaks the internal kernel surface.
-// Use the purpose-built accessors instead: Metrics for telemetry,
-// Procfs for procfs-style reads, Profiler, LiveProcesses,
-// AllocatedFrames, and SetFrameLimit for the remaining kernel state.
-func (s *System) Kernel() *kernel.Kernel { return s.k }

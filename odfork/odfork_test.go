@@ -2,6 +2,7 @@ package odfork_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,10 +81,7 @@ func TestOnDemandIsFast(t *testing.T) {
 }
 
 func TestDefaultModeOptionAndProcfs(t *testing.T) {
-	sys := odfork.NewSystem(odfork.WithProfiling(), odfork.WithDefaultMode(odfork.OnDemand))
-	if sys.Profiler() == nil {
-		t.Fatal("profiler missing")
-	}
+	sys := odfork.NewSystem(odfork.WithDefaultMode(odfork.OnDemand))
 	p := sys.NewProcess()
 	defer p.Exit()
 	if _, err := p.Mmap(4*odfork.MiB, odfork.ProtRead|odfork.ProtWrite,
@@ -95,6 +93,9 @@ func TestDefaultModeOptionAndProcfs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Exit()
+	if got := sys.Metrics().Fork.OnDemand().Forks; got != 1 {
+		t.Errorf("default-mode fork ran %d on-demand forks, want 1", got)
+	}
 	if err := sys.SetForkMode(p.PID(), odfork.Classic); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +104,18 @@ func TestDefaultModeOptionAndProcfs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.Exit()
+	if got := sys.Metrics().Fork.Classic().Forks; got != 1 {
+		t.Errorf("configured fork ran %d classic forks, want 1", got)
+	}
+	// The Figure 3 attribution of both forks is served from the same
+	// counters: the classic fork copied the PTEs of 4 MiB of pages.
+	prof, err := sys.Procfs("/proc/odf/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prof, "copy_one_pte") || !strings.Contains(prof, "pt_share_inc") {
+		t.Errorf("/proc/odf/profile lacks the fork line items:\n%s", prof)
+	}
 }
 
 func TestFileMappingPublicAPI(t *testing.T) {

@@ -2,6 +2,7 @@ package odfork_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,12 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var seen []odfork.SnapshotStats
+	// The notify callback runs on each snapshot's child goroutine, and
+	// consecutive snapshots' children may overlap, so seen needs a lock.
+	var (
+		seenMu sync.Mutex
+		seen   []odfork.SnapshotStats
+	)
 	done := make(chan struct{}, 16)
 	snap, err := p.StartSnapshotter(time.Millisecond,
 		odfork.WithSnapshotMode(odfork.OnDemand),
@@ -30,7 +36,9 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 			return c.WriteAt([]byte("child-private"), base)
 		}),
 		odfork.WithSnapshotNotify(func(st odfork.SnapshotStats) {
+			seenMu.Lock()
 			seen = append(seen, st)
+			seenMu.Unlock()
 			done <- struct{}{}
 		}))
 	if err != nil {
@@ -58,7 +66,10 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 	if tot.Snapshots != snap.Snapshots() || tot.ForkMean <= 0 || tot.ChildErrs != 0 {
 		t.Errorf("totals: %+v", tot)
 	}
-	for _, st := range seen {
+	seenMu.Lock()
+	got := append([]odfork.SnapshotStats(nil), seen...)
+	seenMu.Unlock()
+	for _, st := range got {
 		if st.Err != nil {
 			t.Errorf("snapshot %d child err: %v", st.Seq, st.Err)
 		}
