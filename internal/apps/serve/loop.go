@@ -67,37 +67,58 @@ type LoopResult struct {
 
 // RunLoop executes the configured benchmark, min-merging across runs.
 func RunLoop(cfg LoopConfig) (LoopResult, error) {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 3
+	res, err := RunLoops(cfg)
+	if err != nil {
+		return LoopResult{}, err
 	}
-	var out LoopResult
-	for r := 0; r < runs; r++ {
-		// Level the heap between runs: the driver measures µs-scale
-		// service times, and garbage from a previous run otherwise lands
-		// as GC pauses inside one engine's pass.
-		runtime.GC()
-		res, err := runLoopOnce(cfg, cfg.Seed+int64(r))
-		if err != nil {
-			return LoopResult{}, err
+	return res[0], nil
+}
+
+// RunLoops runs several configurations in rounds: round r runs each
+// configuration's r-th run in turn. Host load that comes and goes
+// (another process, a descheduling) then lands on every configuration
+// alike instead of on whichever was running at the time, and each
+// configuration's min-merge across its runs drops the rounds a stall
+// landed in.
+func RunLoops(cfgs ...LoopConfig) ([]LoopResult, error) {
+	runs := make([]int, len(cfgs))
+	rounds := 0
+	for i, cfg := range cfgs {
+		runs[i] = cfg.Runs
+		if runs[i] <= 0 {
+			runs[i] = 3
 		}
-		if r == 0 {
-			out = res
-			continue
-		}
-		for p, v := range res.Percentiles {
-			if v < out.Percentiles[p] {
-				out.Percentiles[p] = v
+		rounds = max(rounds, runs[i])
+	}
+	out := make([]LoopResult, len(cfgs))
+	for r := 0; r < rounds; r++ {
+		for i := range cfgs {
+			if r >= runs[i] {
+				continue
 			}
-		}
-		if res.MeanMS < out.MeanMS {
-			out.MeanMS = res.MeanMS
-		}
-		if res.MaxMS < out.MaxMS {
-			out.MaxMS = res.MaxMS
-		}
-		if res.ForkMean > 0 && (out.ForkMean == 0 || res.ForkMean < out.ForkMean) {
-			out.ForkMean, out.ForkStdDev = res.ForkMean, res.ForkStdDev
+			// Level the heap between runs: RunLoops measures µs-scale
+			// service times, and garbage from a previous run otherwise
+			// lands as GC pauses inside one engine's pass.
+			runtime.GC()
+			res, err := runLoopOnce(cfgs[i], cfgs[i].Seed+int64(r))
+			if err != nil {
+				return nil, err
+			}
+			if r == 0 {
+				out[i] = res
+				continue
+			}
+			o := &out[i]
+			for p, v := range res.Percentiles {
+				if v < o.Percentiles[p] {
+					o.Percentiles[p] = v
+				}
+			}
+			o.MeanMS = min(o.MeanMS, res.MeanMS)
+			o.MaxMS = min(o.MaxMS, res.MaxMS)
+			if res.ForkMean > 0 && (o.ForkMean == 0 || res.ForkMean < o.ForkMean) {
+				o.ForkMean, o.ForkStdDev = res.ForkMean, res.ForkStdDev
+			}
 		}
 	}
 	return out, nil

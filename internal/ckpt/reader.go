@@ -11,24 +11,15 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/mem/vm"
 )
 
-// Read-side robustness knobs, mirroring the swap store's ladder: a
-// failed chunk read is retried with capped-doubling backoff before the
-// snapshot latches degraded; a CRC mismatch is never retried — the
-// bytes arrived, they are simply wrong.
-const (
-	readAttempts    = 3
-	readBackoffBase = 50 * time.Microsecond
-	// chunkCacheCap bounds decoded chunks kept hot per snapshot. Eight
-	// chunks = 512 page records; fault bursts with locality hit the
-	// cache, a full sweep re-reads at most once per chunk per round.
-	chunkCacheCap = 8
-)
+// chunkCacheCap bounds decoded chunks kept hot per snapshot. Eight
+// chunks = 512 page records; fault bursts with locality hit the cache,
+// a full sweep re-reads at most once per chunk per round.
+const chunkCacheCap = 8
 
 // decodedChunk is one chunk's parsed page records.
 type decodedChunk struct {
@@ -40,8 +31,10 @@ type decodedChunk struct {
 
 // Snapshot is an open checkpoint file (plus its incremental parents
 // when opened with OpenChain). Page reads are lazy: a chunk is read,
-// CRC-verified, and decompressed on first touch. Safe for concurrent
-// use.
+// CRC-verified, and decompressed on first touch, under the store
+// policy the swap path shares (vm.StorePolicy): a failed read is
+// retried with doubling backoff before the file latches degraded, and a
+// CRC mismatch is never retried. Safe for concurrent use.
 type Snapshot struct {
 	path   string
 	f      *os.File
@@ -49,7 +42,8 @@ type Snapshot struct {
 	env    Env
 	parent *Snapshot
 
-	degraded atomic.Bool
+	io     vm.StorePolicy
+	readOp vm.StoreOp
 
 	mu       sync.Mutex
 	cache    map[int]*decodedChunk
@@ -114,13 +108,20 @@ func newSnapshot(path string, f *os.File, env Env) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &Snapshot{
-		path:  path,
-		f:     f,
-		ft:    ft,
-		env:   env,
-		cache: make(map[int]*decodedChunk),
-	}, nil
+	s := &Snapshot{
+		path:   path,
+		f:      f,
+		ft:     ft,
+		env:    env,
+		io:     vm.StorePolicy{ErrIO: ErrIO, ErrCorrupt: ErrCorrupt, Met: env.Met},
+		readOp: vm.StoreOp{Failpoint: failpoint.CkptRead},
+		cache:  make(map[int]*decodedChunk),
+	}
+	if m := env.Met; m != nil {
+		s.io.Corruptions, s.io.Degrades = &m.Ckpt.Corruptions, &m.Ckpt.Degrades
+		s.readOp.Retries, s.readOp.Errors = &m.Ckpt.ReadRetries, &m.Ckpt.ReadErrors
+	}
+	return s, nil
 }
 
 // OpenChain opens path and resolves its incremental-parent chain:
@@ -196,7 +197,7 @@ func (s *Snapshot) ChainLen() int {
 // after exhausting read retries.
 func (s *Snapshot) Degraded() bool {
 	for c := s; c != nil; c = c.parent {
-		if c.degraded.Load() {
+		if c.io.Degraded() {
 			return true
 		}
 	}
@@ -252,10 +253,8 @@ func (s *Snapshot) lookup(v uint64) ([]byte, bool, error) {
 	return dc.data[dc.offs[j] : dc.offs[j]+uint32(dc.tlens[j])], true, nil
 }
 
-// loadChunk reads, CRC-verifies, decompresses, and parses chunk i,
-// retrying transient I/O errors with backoff. CRC mismatches are
-// final: the read succeeded and the bytes are wrong (ErrCorrupt).
-// Exhausted retries latch the snapshot degraded and return ErrIO.
+// loadChunk reads, CRC-verifies, decompresses, and parses chunk i
+// through the cache.
 func (s *Snapshot) loadChunk(i int) (*decodedChunk, error) {
 	s.mu.Lock()
 	if dc, ok := s.cache[i]; ok {
@@ -289,35 +288,15 @@ func (s *Snapshot) loadChunk(i int) (*decodedChunk, error) {
 func (s *Snapshot) fetchChunk(i int) (*decodedChunk, error) {
 	ref := s.ft.chunks[i]
 	comp := make([]byte, ref.clen)
-	var rerr error
-	for attempt := 1; ; attempt++ {
-		if s.env.fire(failpoint.CkptRead) {
-			rerr = fmt.Errorf("injected")
-		} else {
-			_, rerr = s.f.ReadAt(comp, int64(ref.off))
-		}
-		if rerr == nil {
-			break
-		}
-		if attempt >= readAttempts {
-			if m := s.env.Met; m.Enabled() {
-				m.Ckpt.ReadErrors.Inc()
-			}
-			s.degrade()
-			return nil, fmt.Errorf("ckpt: %s: chunk %d read failed after %d attempts: %v: %w",
-				s.path, i, attempt, rerr, ErrIO)
-		}
-		if m := s.env.Met; m.Enabled() {
-			m.Ckpt.ReadRetries.Inc()
-		}
-		time.Sleep(readBackoffBase << (attempt - 1))
+	err := s.io.Do(&s.readOp, s.env.Fail, s.env.Tenant, func() error {
+		_, err := s.f.ReadAt(comp, int64(ref.off))
+		return err
+	})
+	if err == nil {
+		err = s.io.Verify(comp, ref.crc)
 	}
-
-	if crc32.ChecksumIEEE(comp) != ref.crc {
-		if m := s.env.Met; m.Enabled() {
-			m.Ckpt.Corruptions.Inc()
-		}
-		return nil, fmt.Errorf("%w: %s: chunk %d CRC mismatch", ErrCorrupt, s.path, i)
+	if err != nil {
+		return nil, fmt.Errorf("%s: chunk %d: %w", s.path, i, err)
 	}
 
 	fr := flate.NewReader(bytes.NewReader(comp))
@@ -379,14 +358,6 @@ func parseChunk(payload []byte, ref chunkRef) (*decodedChunk, error) {
 		return nil, fmt.Errorf("%w: chunk vaddr range disagrees with index", ErrCorrupt)
 	}
 	return dc, nil
-}
-
-func (s *Snapshot) degrade() {
-	if !s.degraded.Swap(true) {
-		if m := s.env.Met; m.Enabled() {
-			m.Ckpt.Degrades.Inc()
-		}
-	}
 }
 
 // VerifyStats summarizes a full-file verification.

@@ -393,24 +393,20 @@ func (as *AddressSpace) populateLocked(vma *vm.VMA, r addr.Range) error {
 }
 
 // installPageLocked backs one 4 KiB page, copying file content for
-// file-backed VMAs. A fallible backing (a checkpoint image) can refuse
-// the read — corrupt chunk, exhausted I/O retries — in which case the
-// fresh frame is released and the error propagates out of the faulting
+// file-backed VMAs. A backing can refuse the read (a checkpoint image's
+// corrupt chunk or exhausted I/O retries), in which case the fresh
+// frame is released and the error propagates out of the faulting
 // access, never leaving a silently zero-filled page behind.
 func (as *AddressSpace) installPageLocked(vma *vm.VMA, leaf *pagetable.Table, li int, v addr.V) error {
 	f := as.alloc.AllocFor(as.charger)
 	if vma.Backing != nil {
 		off := vma.FileOff + uint64(v.PageBase()-vma.Range.Start)
-		if fb, ok := vma.Backing.(vm.FallibleBacking); ok {
-			src, err := fb.PageAtErr(off)
-			if err != nil {
-				as.alloc.Put(f)
-				return fmt.Errorf("core: page-in at %v from %s: %w", v, vma.Backing.BackingName(), err)
-			}
-			if src != nil {
-				copy(as.alloc.Data(f), src)
-			}
-		} else if src := vma.Backing.PageAt(off); src != nil {
+		src, err := vma.Backing.PageAt(off)
+		if err != nil {
+			as.alloc.Put(f)
+			return fmt.Errorf("core: page-in at %v from %s: %w", v, vma.Backing.BackingName(), err)
+		}
+		if src != nil {
 			copy(as.alloc.Data(f), src)
 		}
 	}
@@ -857,41 +853,14 @@ func (as *AddressSpace) MadviseDontneed(start addr.V, size uint64) (err error) {
 // all-zero). Huge mappings are delivered page by page. fn returning an
 // error stops the walk. Used by core-dump serialization.
 func (as *AddressSpace) VisitPresentPages(fn func(v addr.V, data []byte) error) error {
-	as.mu.Lock()
-	vmas := make([]*vm.VMA, len(as.vmas.All()))
-	copy(vmas, as.vmas.All())
-	as.mu.Unlock()
 	var swapBuf []byte
-	for _, vma := range vmas {
+	for _, vma := range as.VMAs() {
 		for v := vma.Range.Start; v < vma.Range.End; v += addr.PageSize {
-			as.mu.Lock()
-			tr, ok := as.w.Walk(v)
-			var data []byte
-			var readErr error
-			if ok {
-				data = as.alloc.DataIfPresent(tr.Frame)
-			} else if as.rec != nil {
-				// A swapped-out page is still logically present: deliver
-				// its content from the swap store (slot 0 is the zero
-				// page, reported as nil like any untouched frame).
-				if leaf, li := as.w.FindPTE(v); leaf != nil {
-					if e := leaf.Entry(li); e.Swapped() {
-						ok = true
-						if slot := e.SwapSlot(); slot != 0 {
-							if swapBuf == nil {
-								swapBuf = make([]byte, addr.PageSize)
-							}
-							data = swapBuf
-							readErr = as.rec.ReadSlot(slot, swapBuf)
-						}
-					}
-				}
+			data, present, err := as.pageContent(v, &swapBuf)
+			if err != nil {
+				return err
 			}
-			as.mu.Unlock()
-			if readErr != nil {
-				return fmt.Errorf("core: reading swapped page %v: %w", v, readErr)
-			}
-			if !ok {
+			if !present {
 				continue
 			}
 			if err := fn(v, data); err != nil {
@@ -927,32 +896,34 @@ func (as *AddressSpace) pageIdentity(v addr.V) (kind int, id uint64) {
 	return identityAbsent, 0
 }
 
-// pageContent returns the logical content of v (nil = all zeroes),
-// reading swapped-out pages back through the swap store into swapBuf.
-func (as *AddressSpace) pageContent(v addr.V, swapBuf *[]byte) ([]byte, error) {
+// pageContent returns the logical content of v (nil = all zeroes) and
+// whether v is present: mapped to a frame, or swapped out, in which
+// case its content is read back through the swap store into swapBuf
+// (slot 0 is the zero page, nil like any untouched frame).
+func (as *AddressSpace) pageContent(v addr.V, swapBuf *[]byte) (data []byte, present bool, err error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	if tr, ok := as.w.Walk(v); ok {
-		return as.alloc.DataIfPresent(tr.Frame), nil
+		return as.alloc.DataIfPresent(tr.Frame), true, nil
 	}
-	if as.rec != nil {
-		if leaf, li := as.w.FindPTE(v); leaf != nil {
-			if e := leaf.Entry(li); e.Swapped() {
-				slot := e.SwapSlot()
-				if slot == 0 {
-					return nil, nil
-				}
-				if *swapBuf == nil {
-					*swapBuf = make([]byte, addr.PageSize)
-				}
-				if err := as.rec.ReadSlot(slot, *swapBuf); err != nil {
-					return nil, fmt.Errorf("core: reading swapped page %v: %w", v, err)
-				}
-				return *swapBuf, nil
-			}
-		}
+	if as.rec == nil {
+		return nil, false, nil
 	}
-	return nil, nil
+	leaf, li := as.w.FindPTE(v)
+	if leaf == nil || !leaf.Entry(li).Swapped() {
+		return nil, false, nil
+	}
+	slot := leaf.Entry(li).SwapSlot()
+	if slot == 0 {
+		return nil, true, nil
+	}
+	if *swapBuf == nil {
+		*swapBuf = make([]byte, addr.PageSize)
+	}
+	if err := as.rec.ReadSlot(slot, *swapBuf); err != nil {
+		return nil, true, fmt.Errorf("core: reading swapped page %v: %w", v, err)
+	}
+	return *swapBuf, true, nil
 }
 
 // VisitDivergedPages calls fn for every page of the space whose content
@@ -967,12 +938,8 @@ func (as *AddressSpace) pageContent(v addr.V, swapBuf *[]byte) ([]byte, error) {
 // VMA ranges are walked: the restore maps this space's VMA table, so
 // addresses outside it can never be faulted in.
 func (as *AddressSpace) VisitDivergedPages(base *AddressSpace, fn func(v addr.V, data []byte) error) (skipped uint64, err error) {
-	as.mu.Lock()
-	vmas := make([]*vm.VMA, len(as.vmas.All()))
-	copy(vmas, as.vmas.All())
-	as.mu.Unlock()
 	var swapBuf []byte
-	for _, vma := range vmas {
+	for _, vma := range as.VMAs() {
 		for v := vma.Range.Start; v < vma.Range.End; v += addr.PageSize {
 			selfKind, selfID := as.pageIdentity(v)
 			baseKind, baseID := base.pageIdentity(v)
@@ -984,7 +951,7 @@ func (as *AddressSpace) VisitDivergedPages(base *AddressSpace, fn func(v addr.V,
 			}
 			var data []byte
 			if selfKind != identityAbsent {
-				data, err = as.pageContent(v, &swapBuf)
+				data, _, err = as.pageContent(v, &swapBuf)
 				if err != nil {
 					return skipped, err
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/mem/addr"
@@ -329,9 +330,9 @@ type sliceBacking struct {
 }
 
 func (s *sliceBacking) BackingName() string { return s.name }
-func (s *sliceBacking) PageAt(off uint64) []byte {
+func (s *sliceBacking) PageAt(off uint64) ([]byte, error) {
 	if off >= uint64(len(s.data)) {
-		return nil
+		return nil, nil
 	}
 	end := off + addr.PageSize
 	if end > uint64(len(s.data)) {
@@ -339,7 +340,7 @@ func (s *sliceBacking) PageAt(off uint64) []byte {
 	}
 	page := make([]byte, addr.PageSize)
 	copy(page, s.data[off:end])
-	return page
+	return page, nil
 }
 
 func TestFileBackedMapping(t *testing.T) {
@@ -379,6 +380,45 @@ func TestFileBackedMapping(t *testing.T) {
 	}
 	if !bytes.Equal(pg, content[addr.PageSize:2*addr.PageSize]) {
 		t.Error("offset file-backed read mismatch")
+	}
+}
+
+// failingBacking serves zeroes except at offset bad, where it fails.
+type failingBacking struct {
+	bad uint64
+	err error
+}
+
+func (b *failingBacking) BackingName() string { return "failing" }
+func (b *failingBacking) PageAt(off uint64) ([]byte, error) {
+	if off == b.bad {
+		return nil, b.err
+	}
+	return nil, nil
+}
+
+// TestBackingErrorReleasesFrame: a backing read that fails releases
+// the frame allocated for the page and fails the access with the
+// backing's error.
+func TestBackingErrorReleasesFrame(t *testing.T) {
+	as := newSpace()
+	defer as.Teardown()
+	b := &failingBacking{bad: addr.PageSize, err: errors.New("device gone")}
+	v, err := as.Mmap(0, 2*addr.PageSize, vm.ProtRead, vm.MapPrivate, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fault the good page first, so the leaf table exists and only the
+	// failing page's frame is in play.
+	if _, err := as.LoadByte(v); err != nil {
+		t.Fatal(err)
+	}
+	baseline := as.Allocator().Allocated()
+	if _, err := as.LoadByte(v + addr.PageSize); !errors.Is(err, b.err) {
+		t.Fatalf("access err = %v, want the backing's error", err)
+	}
+	if got := as.Allocator().Allocated(); got != baseline {
+		t.Fatalf("allocated frames %d after the failed page-in, want %d", got, baseline)
 	}
 }
 

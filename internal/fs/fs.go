@@ -96,10 +96,11 @@ func (f *File) Size() uint64 {
 
 // PageAt implements vm.Backing: it returns the cached 4 KiB page at the
 // given page-aligned offset, or nil for holes (which read as zeroes).
-func (f *File) PageAt(off uint64) []byte {
+// A page cache read cannot fail.
+func (f *File) PageAt(off uint64) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.pages[addr.PageRoundDown(off)]
+	return f.pages[addr.PageRoundDown(off)], nil
 }
 
 // WriteAt writes p at the given offset, extending the file as needed.

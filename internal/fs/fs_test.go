@@ -81,10 +81,10 @@ func TestReadHolesAreZero(t *testing.T) {
 			t.Fatalf("hole byte %d = %#x", i, b)
 		}
 	}
-	if f.PageAt(addr.PageSize) != nil {
+	if pg, _ := f.PageAt(addr.PageSize); pg != nil {
 		t.Error("hole has a cached page")
 	}
-	if f.PageAt(3*addr.PageSize) == nil {
+	if pg, _ := f.PageAt(3 * addr.PageSize); pg == nil {
 		t.Error("written page missing from cache")
 	}
 }

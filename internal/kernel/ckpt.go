@@ -232,10 +232,9 @@ func (d *DurableCheckpoint) frozenHandle() *Checkpoint {
 
 // ckptImage is the restore-side backing: one open snapshot chain
 // serving lazy page-ins for every process restored from it (and their
-// forks — VMA clones share the backing pointer). It implements
-// vm.FallibleBacking so chunk CRC mismatches and exhausted I/O retries
-// surface from the faulting access as ErrCheckpointCorrupt /
-// ErrCheckpointIO instead of reading as zeroes.
+// forks — VMA clones share the backing pointer). Chunk CRC mismatches
+// and exhausted I/O retries surface from the faulting access as
+// ErrCheckpointCorrupt / ErrCheckpointIO instead of reading as zeroes.
 type ckptImage struct {
 	k       *Kernel
 	snap    *ckpt.Snapshot
@@ -246,29 +245,18 @@ type ckptImage struct {
 // BackingName identifies the image in diagnostics.
 func (im *ckptImage) BackingName() string { return "ckpt:" + im.name }
 
-// PageAt implements vm.Backing. The fault path always prefers
-// PageAtErr; this infallible form exists only to satisfy the base
-// interface and drops read errors (returning a hole).
-func (im *ckptImage) PageAt(off uint64) []byte {
-	data, _ := im.PageAtErr(off)
-	return data
-}
-
-// PageAtErr returns the snapshot chain's content for the page at off.
-// Restored VMAs set FileOff = Range.Start, so off is the virtual
-// address being faulted.
-func (im *ckptImage) PageAtErr(off uint64) ([]byte, error) {
+// PageAt implements vm.Backing: the snapshot chain's content for the
+// page at off. Restored VMAs set FileOff = Range.Start, so off is the
+// virtual address being faulted.
+func (im *ckptImage) PageAt(off uint64) ([]byte, error) {
 	k := im.k
 	var t0 time.Time
 	if k.met.Enabled() || k.trc.Enabled() {
 		t0 = time.Now()
 	}
 	data, found, err := im.snap.Page(off)
-	if err != nil {
+	if err != nil || !found {
 		return nil, err
-	}
-	if !found {
-		return nil, nil
 	}
 	im.pageIns.Add(1)
 	if k.met.Enabled() {

@@ -313,8 +313,7 @@ func WithForkOptions(opts core.ForkOptions) ForkOpt {
 // Fork duplicates the process. With no options it uses the engine
 // configured for the process (classic by default; on-demand-fork if
 // procfs says so); functional options select the engine and tune the
-// copy explicitly. This is the single fork entry point of the v1 API —
-// ForkWith and ForkWithOptions remain as deprecated wrappers.
+// copy explicitly. This is the single fork entry point of the v1 API.
 func (p *Process) Fork(opts ...ForkOpt) (*Process, error) {
 	var cfg forkCfg
 	for _, o := range opts {
@@ -325,20 +324,6 @@ func (p *Process) Fork(opts ...ForkOpt) (*Process, error) {
 		mode = p.k.forkModeFor(p.pid)
 	}
 	return p.forkInternal(mode, cfg.opts)
-}
-
-// ForkWith duplicates the process with an explicit engine.
-//
-// Deprecated: use Fork(WithMode(mode)).
-func (p *Process) ForkWith(mode core.ForkMode) (*Process, error) {
-	return p.forkInternal(mode, core.ForkOptions{})
-}
-
-// ForkWithOptions exposes the ablation knobs.
-//
-// Deprecated: use Fork(WithMode(mode), WithForkOptions(opts)).
-func (p *Process) ForkWithOptions(mode core.ForkMode, opts core.ForkOptions) (*Process, error) {
-	return p.forkInternal(mode, opts)
 }
 
 func (p *Process) forkInternal(mode core.ForkMode, opts core.ForkOptions) (*Process, error) {

@@ -17,9 +17,9 @@ const (
 	testFlags = vm.MapPrivate | vm.MapPopulate
 )
 
-// TestForkAPIEquivalence proves the deprecated fork entry points stay
-// behaviourally identical to the functional-option form: same engine
-// charged, same page-table sharing, same copy-on-write semantics.
+// TestForkAPIEquivalence proves the ways of selecting the engine for
+// Fork are behaviourally identical: same engine charged, same
+// page-table sharing, same copy-on-write semantics.
 func TestForkAPIEquivalence(t *testing.T) {
 	paths := []struct {
 		name string
@@ -28,13 +28,14 @@ func TestForkAPIEquivalence(t *testing.T) {
 		{"Fork+WithMode", func(p *Process) (*Process, error) {
 			return p.Fork(WithMode(core.ForkOnDemand))
 		}},
-		{"ForkWith", func(p *Process) (*Process, error) {
-			//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-			return p.ForkWith(core.ForkOnDemand)
+		{"Fork+WithForkOptions", func(p *Process) (*Process, error) {
+			return p.Fork(WithMode(core.ForkOnDemand), WithForkOptions(core.ForkOptions{}))
 		}},
-		{"ForkWithOptions", func(p *Process) (*Process, error) {
-			//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-			return p.ForkWithOptions(core.ForkOnDemand, core.ForkOptions{})
+		{"Fork+SetForkMode", func(p *Process) (*Process, error) {
+			if err := p.k.SetForkMode(p.PID(), core.ForkOnDemand); err != nil {
+				return nil, err
+			}
+			return p.Fork()
 		}},
 	}
 	type observed struct {
@@ -100,7 +101,7 @@ func TestForkAPIEquivalence(t *testing.T) {
 }
 
 // TestForkWorkersEquivalence proves WithWorkers(n) is the same knob as
-// the deprecated ForkWithOptions(mode, ForkOptions{Parallelism: n}).
+// WithForkOptions(ForkOptions{Parallelism: n}).
 func TestForkWorkersEquivalence(t *testing.T) {
 	run := func(fork func(p *Process) (*Process, error)) (parallelForks, parallelTasks uint64) {
 		k := New()
@@ -122,13 +123,12 @@ func TestForkWorkersEquivalence(t *testing.T) {
 	optForks, optTasks := run(func(p *Process) (*Process, error) {
 		return p.Fork(WithMode(core.ForkOnDemand), WithWorkers(4))
 	})
-	depForks, depTasks := run(func(p *Process) (*Process, error) {
-		//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-		return p.ForkWithOptions(core.ForkOnDemand, core.ForkOptions{Parallelism: 4})
+	fullForks, fullTasks := run(func(p *Process) (*Process, error) {
+		return p.Fork(WithMode(core.ForkOnDemand), WithForkOptions(core.ForkOptions{Parallelism: 4}))
 	})
-	if optForks != depForks || optTasks != depTasks {
-		t.Errorf("WithWorkers charged forks=%d tasks=%d; ForkWithOptions charged forks=%d tasks=%d",
-			optForks, optTasks, depForks, depTasks)
+	if optForks != fullForks || optTasks != fullTasks {
+		t.Errorf("WithWorkers charged forks=%d tasks=%d; WithForkOptions charged forks=%d tasks=%d",
+			optForks, optTasks, fullForks, fullTasks)
 	}
 }
 

@@ -42,27 +42,19 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/pagetable"
 	"repro/internal/mem/phys"
+	"repro/internal/mem/vm"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// Swap I/O failure classes. A store operation that keeps failing after
-// the bounded retries surfaces as ErrSwapIO from the faulting access
-// and flips the manager into degraded mode (no further swap-out); a
-// payload whose checksum no longer matches what was written surfaces
-// as ErrSwapCorrupt. Both are matched with errors.Is.
+// Swap I/O failure classes (see vm.StorePolicy). A store operation
+// that keeps failing after the bounded retries surfaces as ErrSwapIO
+// from the faulting access and flips the manager into degraded mode (no
+// further swap-out); a payload whose checksum no longer matches what
+// was written surfaces as ErrSwapCorrupt. Both match with errors.Is.
 var (
 	ErrSwapIO      = errors.New("reclaim: swap I/O failure")
 	ErrSwapCorrupt = errors.New("reclaim: swap payload corrupt")
-)
-
-// Swap I/O retry tuning: a failing store operation is retried a few
-// times with doubling backoff (50µs, 100µs, 200µs) before the failure
-// is surfaced — transient device hiccups resolve, persistent faults
-// degrade quickly.
-const (
-	swapIOAttempts  = 4
-	swapBackoffBase = 50 * time.Microsecond
 )
 
 // Space is the view the reclaimer has of an address space: just enough
@@ -150,11 +142,12 @@ type Manager struct {
 	// table it must stay consistent even if tracking is later disabled.
 	tracking atomic.Bool
 
-	// degraded latches after a swap I/O failure exhausts its retries:
-	// eviction and kswapd balancing stop (no new pages are put at
-	// risk), reads of already-swapped pages are still attempted, and
-	// re-enabling the subsystem clears the latch.
-	degraded atomic.Bool
+	// io is the store I/O policy. Once a swap I/O failure exhausts its
+	// retries, the degraded latch stops eviction and kswapd balancing
+	// (no new pages are put at risk); reads of already-swapped pages
+	// are still attempted. Re-enabling the subsystem reopens it.
+	io              vm.StorePolicy
+	readOp, writeOp vm.StoreOp
 
 	// mu guards frames, owners, the LRU partitions, slots, and the
 	// watermark fields. It is the innermost lock of the whole memory
@@ -192,17 +185,27 @@ type Manager struct {
 // flight recorder is inherited from the allocator, so the kernel must
 // attach it (phys.Allocator.SetTracer) before building the manager.
 func NewManager(alloc *phys.Allocator, met *metrics.Registry) *Manager {
-	return &Manager{
-		alloc:  alloc,
-		met:    met,
-		trc:    alloc.Tracer(),
-		frames: make(map[phys.Frame]*frameNode),
-		owners: make(map[*pagetable.Table]map[Space]struct{}),
-		parts:  make(map[phys.FrameCharger]*partition),
-		slots:  make(map[uint64]slotInfo),
-		store:  NewMemStore(),
-		wake:   make(chan struct{}, 1),
+	m := &Manager{
+		alloc:   alloc,
+		met:     met,
+		trc:     alloc.Tracer(),
+		frames:  make(map[phys.Frame]*frameNode),
+		owners:  make(map[*pagetable.Table]map[Space]struct{}),
+		parts:   make(map[phys.FrameCharger]*partition),
+		slots:   make(map[uint64]slotInfo),
+		store:   NewMemStore(),
+		wake:    make(chan struct{}, 1),
+		readOp:  vm.StoreOp{Failpoint: failpoint.SwapRead},
+		writeOp: vm.StoreOp{Failpoint: failpoint.SwapWrite},
 	}
+	m.io = vm.StorePolicy{ErrIO: ErrSwapIO, ErrCorrupt: ErrSwapCorrupt, Met: met, OnDegrade: m.noteDegrade}
+	if met != nil {
+		r := &met.Robust
+		m.io.Corruptions, m.io.Degrades = &r.SwapCorruptions, &r.SwapDegrades
+		m.readOp.Retries, m.readOp.Errors = &r.SwapReadRetries, &r.SwapReadErrors
+		m.writeOp.Retries, m.writeOp.Errors = &r.SwapWriteRetries, &r.SwapWriteErrors
+	}
+	return m
 }
 
 // Enabled reports whether reclaim tracking and eviction are on.
@@ -295,7 +298,7 @@ func (m *Manager) SetEnabled(on bool) {
 		}
 		// A fresh enable forgives past swap I/O failures — the operator
 		// re-enabling swap is the "device replaced" signal.
-		m.degraded.Store(false)
+		m.io.Reset()
 		m.tracking.Store(true)
 		m.stopCh = make(chan struct{})
 		m.doneCh = make(chan struct{})
@@ -490,12 +493,11 @@ func (m *Manager) FrameFreed(f phys.Frame) {
 
 // slotInfo is the per-swap-slot bookkeeping: the reference count (one
 // per swap PTE holding the slot) and the CRC32 of the payload recorded
-// at swap-out, verified on swap-in. Slot 0 (the zero page) carries no
-// checksum.
+// at swap-out, verified on swap-in. Slot 0 (the zero page) is never
+// read, so its checksum is unused.
 type slotInfo struct {
-	refs   int64
-	crc    uint32
-	hasCRC bool
+	refs int64
+	crc  uint32
 }
 
 // SwapRef adds one reference to a swap slot (a fork duplicated a swap
@@ -523,136 +525,81 @@ func (m *Manager) SwapUnref(slot uint64) {
 		return
 	}
 	delete(m.slots, slot)
-	if slot != 0 {
-		m.freeSlotLocked(slot)
+	if slot == 0 {
+		return
 	}
-}
-
-// freeSlotLocked releases a store slot, honoring the swap.free
-// failpoint: a failed free is simply retried — the store's Free is
-// idempotent bookkeeping, and a leaked slot would fail the chaos
-// harness's zero-leak audit, so the failure mode here is extra
-// attempts, never a leak.
-func (m *Manager) freeSlotLocked(slot uint64) {
-	fp := m.alloc.Failpoints()
-	for attempt := 0; attempt < swapIOAttempts; attempt++ {
-		if fp.Enabled() && fp.Fire(failpoint.SwapFree) {
-			continue
-		}
-		break
+	// The swap.free failpoint cannot fail the free: the store's Free is
+	// bookkeeping, and a leaked slot would fail the chaos harness's
+	// zero-leak audit, so an injected failure is counted and the slot
+	// freed anyway.
+	if fp := m.alloc.Failpoints(); fp.Enabled() {
+		fp.Fire(failpoint.SwapFree)
 	}
 	m.store.Free(slot)
 }
 
 // ReadSlot copies the page content of a swap slot into dst without
-// consuming a reference. Slot 0 is the implicit zero page. Transient
-// store failures (injected or real) are retried with capped
-// exponential backoff; a persistent failure degrades the subsystem and
-// surfaces as ErrSwapIO, and a payload that no longer matches its
-// recorded checksum surfaces as ErrSwapCorrupt.
+// consuming a reference. Slot 0 is the implicit zero page. The read
+// runs under the store policy: transient failures are retried, a
+// persistent one degrades the subsystem and surfaces as ErrSwapIO, and
+// a payload that no longer matches its recorded checksum surfaces as
+// ErrSwapCorrupt.
 func (m *Manager) ReadSlot(slot uint64, dst []byte) error {
 	if slot == 0 {
 		clear(dst)
 		return nil
 	}
-	fp := m.alloc.Failpoints()
-	on := m.met.Enabled()
-	var err error
-	for attempt := 0; attempt < swapIOAttempts; attempt++ {
-		if attempt > 0 {
-			if on {
-				m.met.Robust.SwapReadRetries.Inc()
-			}
-			time.Sleep(swapBackoffBase << (attempt - 1))
-		}
-		if fp.Enabled() && fp.Fire(failpoint.SwapRead) {
-			err = fmt.Errorf("%w: injected read fault on slot %d", ErrSwapIO, slot)
-			continue
-		}
-		if err = m.store.Read(slot, dst); err == nil {
-			break
+	err := m.io.Do(&m.readOp, m.alloc.Failpoints(), 0, func() error { return m.store.Read(slot, dst) })
+	if err == nil {
+		// A slot freed mid-read (a sharer of the table swapped the page
+		// in first) is not verified: the caller finds its entry changed
+		// and retries.
+		m.mu.Lock()
+		si, live := m.slots[slot]
+		m.mu.Unlock()
+		if live {
+			err = m.io.Verify(dst, si.crc)
 		}
 	}
 	if err != nil {
-		if on {
-			m.met.Robust.SwapReadErrors.Inc()
-		}
-		m.degrade(true)
-		if !errors.Is(err, ErrSwapIO) {
-			err = fmt.Errorf("%w: %v", ErrSwapIO, err)
-		}
-		return err
-	}
-	m.mu.Lock()
-	si := m.slots[slot]
-	m.mu.Unlock()
-	if si.hasCRC && crc32.ChecksumIEEE(dst) != si.crc {
-		if on {
-			m.met.Robust.SwapCorruptions.Inc()
-		}
-		return fmt.Errorf("%w: slot %d checksum mismatch", ErrSwapCorrupt, slot)
+		return fmt.Errorf("slot %d: %w", slot, err)
 	}
 	return nil
 }
 
-// writeSlot persists one page payload with the same retry/backoff
-// policy as ReadSlot and returns the slot plus the checksum to record.
-// The swap.corrupt failpoint poisons the recorded checksum (the model
-// of a device that acknowledged a write it mangled), so the corruption
-// is only discovered at swap-in.
-func (m *Manager) writeSlot(data []byte) (uint64, uint32, error) {
+// writeSlot persists one page payload under the store policy and
+// returns the slot plus the checksum to record. The swap.corrupt
+// failpoint poisons the recorded checksum (the model of a device that
+// acknowledged a write it mangled), so the corruption is only
+// discovered at swap-in.
+func (m *Manager) writeSlot(data []byte) (slot uint64, crc uint32, err error) {
 	fp := m.alloc.Failpoints()
-	on := m.met.Enabled()
-	var slot uint64
-	var err error
-	for attempt := 0; attempt < swapIOAttempts; attempt++ {
-		if attempt > 0 {
-			if on {
-				m.met.Robust.SwapWriteRetries.Inc()
-			}
-			time.Sleep(swapBackoffBase << (attempt - 1))
-		}
-		if fp.Enabled() && fp.Fire(failpoint.SwapWrite) {
-			err = fmt.Errorf("%w: injected write fault", ErrSwapIO)
-			continue
-		}
-		if slot, err = m.store.Write(data); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		if on {
-			m.met.Robust.SwapWriteErrors.Inc()
-		}
-		m.degrade(false)
+	if err = m.io.Do(&m.writeOp, fp, 0, func() (err error) {
+		slot, err = m.store.Write(data)
+		return err
+	}); err != nil {
 		return 0, 0, err
 	}
-	crc := crc32.ChecksumIEEE(data)
+	crc = crc32.ChecksumIEEE(data)
 	if fp.Enabled() && fp.Fire(failpoint.SwapCorrupt) {
 		crc ^= 0xDEADBEEF
 	}
 	return slot, crc, nil
 }
 
-// degrade latches the manager into degraded-swap mode after a
-// persistent I/O failure: no further eviction, a one-shot metric and
-// trace event, reads still attempted. read attributes the trigger.
-func (m *Manager) degrade(read bool) {
-	if m.degraded.Swap(true) {
-		return
-	}
-	if m.met.Enabled() {
-		m.met.Robust.SwapDegrades.Inc()
-	}
+// noteDegrade marks the manager entering degraded-swap mode in the
+// flight recorder; the trace instant's argument is 1 when a read
+// exhausted its retries, 0 for a write.
+func (m *Manager) noteDegrade(op *vm.StoreOp) {
 	arg := uint64(0)
-	if read {
+	if op == &m.readOp {
 		arg = 1
 	}
 	m.trc.Instant(trace.KindSwapDegrade, trace.StageNone, trace.ActorApp, arg, 0)
 }
 
 // Degraded reports whether swap has been disabled by an I/O failure.
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
+func (m *Manager) Degraded() bool { return m.io.Degraded() }
 
 // ---------------------------------------------------------------------
 // Reclaim passes.
@@ -770,7 +717,7 @@ func (m *Manager) shrink(target int64, direct bool) int64 {
 	defer m.reclaimMu.Unlock()
 	// Degraded swap means eviction would hand more pages to a failing
 	// device; stop reclaiming and let the frame limit surface as OOM.
-	if !m.tracking.Load() || m.degraded.Load() {
+	if !m.tracking.Load() || m.io.Degraded() {
 		return 0
 	}
 	on := m.met.Enabled()
@@ -1057,7 +1004,6 @@ func (m *Manager) evictLocked(n *frameNode, actor int32) bool {
 	// the reserved zero slot and costs no store I/O at all.
 	var slot uint64
 	var crc uint32
-	var hasCRC bool
 	if data := m.alloc.DataIfPresent(f); data != nil {
 		on := m.met.Enabled()
 		var t0 time.Time
@@ -1077,7 +1023,7 @@ func (m *Manager) evictLocked(n *frameNode, actor int32) bool {
 			m.met.Reclaim.SwapOutLatency.Observe(time.Since(t0))
 		}
 		m.trc.Span(trace.KindWriteback, trace.StageNone, actor, t0, s, uint64(len(data)))
-		slot, crc, hasCRC = s, c, true
+		slot, crc = s, c
 	}
 
 	// Replace every PTE with the swap entry. The owners' mutexes exclude
@@ -1091,9 +1037,7 @@ func (m *Manager) evictLocked(n *frameNode, actor int32) bool {
 	m.mu.Lock()
 	si := m.slots[slot]
 	si.refs += int64(len(snap))
-	if hasCRC {
-		si.crc, si.hasCRC = crc, true
-	}
+	si.crc = crc
 	m.slots[slot] = si
 	delete(m.frames, f)
 	m.releaseIfEmptyLocked(n.part)
@@ -1215,7 +1159,7 @@ func (m *Manager) Stats() ManagerStats {
 	active, inactive := m.lruSizesLocked()
 	st := ManagerStats{
 		Enabled:        m.tracking.Load(),
-		Degraded:       m.degraded.Load(),
+		Degraded:       m.io.Degraded(),
 		Low:            m.low.Load(),
 		High:           m.high.Load(),
 		ActiveFrames:   active,

@@ -1,12 +1,15 @@
 // Package vm provides virtual memory area (VMA) bookkeeping for the
 // simulated kernel: the sorted set of mapped regions in an address
 // space, with the split/merge mechanics that munmap, mremap and
-// mprotect require.
+// mprotect require. It also holds what a fault reads pages from: the
+// Backing of a file-backed VMA, and StorePolicy, the one
+// retry/verify/degrade policy of the swap and checkpoint stores
+// (backing.go).
 //
-// The package is pure bookkeeping — page tables are owned by package
-// core, which consults the VMA set to decide, e.g., whether a shared
-// last-level page table still backs another mapping of the same
-// process before unmapping (§3.3 of the paper).
+// Page tables are owned by package core, which consults the VMA set to
+// decide, e.g., whether a shared last-level page table still backs
+// another mapping of the same process before unmapping (§3.3 of the
+// paper).
 package vm
 
 import (
@@ -48,27 +51,6 @@ const (
 	// page is backed by a distinct physical frame.
 	MapPopulate
 )
-
-// Backing supplies pages for file-backed mappings. The page cache in
-// package fs implements it; anonymous VMAs have a nil Backing.
-type Backing interface {
-	// BackingName identifies the backing object for diagnostics.
-	BackingName() string
-	// PageAt returns the cached content of the 4 KiB file page at the
-	// given file offset, or nil if the page is a hole (reads as zeroes).
-	PageAt(off uint64) []byte
-}
-
-// FallibleBacking is implemented by backings whose page reads can fail
-// — a checkpoint file whose chunk is corrupt or whose device errors.
-// The fault path prefers PageAtErr when a backing provides it, so the
-// error surfaces from the faulting access instead of silently reading
-// as zeroes. The returned slice may be shorter than a page; the
-// remainder reads as zeroes.
-type FallibleBacking interface {
-	Backing
-	PageAtErr(off uint64) ([]byte, error)
-}
 
 // VMA is one mapped region of an address space.
 type VMA struct {

@@ -148,8 +148,8 @@ func TestRemoveRangeSplitsMiddle(t *testing.T) {
 
 type fakeBacking struct{ name string }
 
-func (f *fakeBacking) BackingName() string  { return f.name }
-func (f *fakeBacking) PageAt(uint64) []byte { return nil }
+func (f *fakeBacking) BackingName() string           { return f.name }
+func (f *fakeBacking) PageAt(uint64) ([]byte, error) { return nil, nil }
 
 func TestRemoveRangePreservesFileOffset(t *testing.T) {
 	var s Set

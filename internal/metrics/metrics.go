@@ -366,8 +366,9 @@ type Registry struct {
 
 	// Durable-checkpoint metrics (internal/ckpt + kernel wiring): what
 	// the snapshot writer captured, what lazy restores faulted back in,
-	// and the same retry/corruption/degrade ladder the swap path keeps,
-	// so a chaos run can assert the checkpoint recovery machinery ran.
+	// and the retry/corruption/degrade counts of the store policy
+	// (vm.StorePolicy) chunk reads share with swap-in, so a chaos run
+	// can assert the checkpoint recovery machinery ran.
 	Ckpt struct {
 		Checkpoints   Counter   // snapshot files committed (full + incremental)
 		PagesWritten  Counter   // page records written (incl. explicit-zero tombstones)

@@ -16,7 +16,7 @@
 //     overwrite the oldest entry when full (drop-oldest); the number of
 //     overwritten events is reported as Snapshot.Dropped.
 //   - Lock-free: writers claim a slot with one atomic add and publish
-//     the event with one atomic pointer store; readers snapshot without
+//     the event under the slot's seqlock; readers snapshot without
 //     stopping writers. Shards are picked by goroutine stack address,
 //     so concurrent forks rarely contend on a ring cursor.
 //
@@ -242,12 +242,29 @@ const DefaultCapacity = 1 << 14
 const maxRings = 64
 
 // slot is one seqlock-guarded event cell: seq is even when the event
-// is stable (0 = never written), odd while a writer is mid-update.
-// Storing events by value keeps the hot emit path allocation-free —
-// the previous pointer-slot design boxed every event on the heap.
+// is stable (0 = never written), odd while a writer is mid-update. The
+// event is stored as atomic words, so a reader racing a writer sees
+// torn words (and discards them on the sequence check), never a data
+// race; storing by value keeps the hot emit path allocation-free.
 type slot struct {
 	seq atomic.Uint64
-	ev  Event
+	w   [6]atomic.Uint64 // TS, Dur, Kind|Stage|Actor, Arg1, Arg2, Req
+}
+
+func (s *slot) store(e *Event) {
+	s.w[0].Store(uint64(e.TS))
+	s.w[1].Store(uint64(e.Dur))
+	s.w[2].Store(uint64(e.Kind) | uint64(e.Stage)<<8 | uint64(uint32(e.Actor))<<32)
+	s.w[3].Store(e.Arg1)
+	s.w[4].Store(e.Arg2)
+	s.w[5].Store(e.Req)
+}
+
+func (s *slot) load() Event {
+	ksa := s.w[2].Load()
+	return Event{TS: int64(s.w[0].Load()), Dur: int64(s.w[1].Load()),
+		Kind: Kind(ksa), Stage: Stage(ksa >> 8), Actor: int32(uint32(ksa >> 32)),
+		Arg1: s.w[3].Load(), Arg2: s.w[4].Load(), Req: s.w[5].Load()}
 }
 
 // ring is one shard of the recorder. The cursor counts every claim
@@ -391,7 +408,7 @@ func (t *Tracer) since(at time.Time) int64 {
 }
 
 // emit claims a slot in the caller's shard and publishes the event
-// under the slot's seqlock: CAS the sequence even→odd, write the value,
+// under the slot's seqlock: CAS the sequence even→odd, store the words,
 // store seq+2. A failed CAS means another writer lapped the ring onto
 // the same slot at the same instant; the event is dropped (and counted)
 // rather than spinning — the recorder must never stall a fork path.
@@ -404,7 +421,7 @@ func (t *Tracer) emit(e Event) {
 		r.contended.Add(1)
 		return
 	}
-	s.ev = e
+	s.store(&e)
 	s.seq.Store(seq + 2)
 }
 
@@ -453,7 +470,7 @@ func (t *Tracer) Snapshot() Snapshot {
 			if s1 == 0 || s1&1 != 0 {
 				continue
 			}
-			e := sl.ev
+			e := sl.load()
 			if sl.seq.Load() != s1 {
 				continue
 			}
