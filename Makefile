@@ -21,10 +21,11 @@ test:
 
 # The concurrency-sensitive packages: the parallel fork engine, the
 # sharded allocator, the lock-free flight recorder, the socket serving
-# tier (concurrent clients + snapshotter forks + reclaim), and
-# everything between them.
+# tier (concurrent clients + snapshotter forks + reclaim), the public
+# facade, checkpoints, and everything between them. CI's race step
+# runs this target, so the two lists cannot drift.
 race:
-	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/...
+	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/... ./odfork/... ./internal/ckpt/...
 
 # Fixed iteration count: several benchmarks do expensive unmeasured
 # setup per iteration (see bench_test.go).

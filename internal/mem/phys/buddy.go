@@ -73,10 +73,10 @@ func (a *Allocator) removeFree(f Frame, order uint8) {
 	panic("phys: free block missing from its free list")
 }
 
-// allocBlock carves out a block of the given order, growing the arena
-// when no free block is available. Caller holds the lock.
-func (a *Allocator) allocBlock(order uint8) Frame {
-	// Find the smallest free block that fits.
+// takeFree carves a block of the given order out of the smallest free
+// block that fits, or returns NoFrame when none does. Caller holds the
+// lock.
+func (a *Allocator) takeFree(order uint8) Frame {
 	for o := order; o <= MaxOrder; o++ {
 		f := a.popFree(o)
 		if !f.Valid() {
@@ -88,6 +88,15 @@ func (a *Allocator) allocBlock(order uint8) Frame {
 			half := cur - 1
 			a.pushFree(f+Frame(1)<<half, half)
 		}
+		return f
+	}
+	return NoFrame
+}
+
+// allocBlock carves out a block of the given order, growing the arena
+// when no free block is available. Caller holds the lock.
+func (a *Allocator) allocBlock(order uint8) Frame {
+	if f := a.takeFree(order); f.Valid() {
 		return f
 	}
 	// Grow the arena by one maximal block. Frame numbers issued by

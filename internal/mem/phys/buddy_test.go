@@ -77,6 +77,30 @@ func TestBuddySplitReuse(t *testing.T) {
 	}
 }
 
+// TestRefillTakesOtherShardsFrames parks every frame of a freed huge
+// block in a shard no P maps to (P ids stay below GOMAXPROCS, and the
+// shard array is doubled past that), so each refill finds the core
+// empty while free frames sit in another shard. Refills must take those
+// frames instead of growing the arena.
+func TestRefillTakesOtherShardsFrames(t *testing.T) {
+	a := NewAllocator()
+	a.shards = make([]shard, 2*len(a.shards))
+	far := &a.shards[len(a.shards)-1]
+	a.Put(a.AllocHuge())
+	before := a.Stats().Extent
+	a.mu.Lock()
+	for i := 0; i < 1<<MaxOrder; i++ {
+		far.cache = append(far.cache, a.allocBlock(0))
+	}
+	a.mu.Unlock()
+	for i := 0; i < 1<<MaxOrder; i++ {
+		a.Alloc()
+	}
+	if got := a.Stats().Extent; got != before {
+		t.Fatalf("arena grew from %d to %d frames while another shard cached free frames", before, got)
+	}
+}
+
 // Property: random alloc/free sequences never hand out overlapping
 // blocks, and freeing everything always coalesces back to maximal
 // blocks.

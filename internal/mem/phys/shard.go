@@ -103,9 +103,20 @@ func (a *Allocator) allocFrame() Frame {
 		batch = 1
 	}
 	a.mu.Lock()
-	f := a.allocBlock(0)
-	for i := 0; i < batch-1; i++ {
-		s.cache = append(s.cache, a.allocBlock(0))
+	f := a.takeFree(0)
+	if !f.Valid() {
+		// The core is empty, but other shards may still cache frames
+		// (a goroutine that changed P left them behind): take those
+		// before growing the arena.
+		a.reclaimShards(s)
+		f = a.allocBlock(0)
+	}
+	for i := 1; i < batch; i++ {
+		g := a.takeFree(0)
+		if !g.Valid() {
+			break // a short batch, not a second growth
+		}
+		s.cache = append(s.cache, g)
 	}
 	a.mu.Unlock()
 	s.mu.Unlock()
@@ -118,10 +129,30 @@ func (a *Allocator) allocFrame() Frame {
 	return f
 }
 
+// reclaimShards returns every other shard's cached frames to the buddy
+// core. The caller holds s.mu and the core lock; the other shards are
+// only TryLocked, so the shard → core lock order is never inverted and
+// a busy shard is skipped rather than waited for.
+func (a *Allocator) reclaimShards(s *shard) {
+	for i := range a.shards {
+		o := &a.shards[i]
+		if o == s || !o.mu.TryLock() {
+			continue
+		}
+		for _, f := range o.cache {
+			a.freeBlock(f, 0)
+		}
+		o.cache = o.cache[:0]
+		o.mu.Unlock()
+	}
+}
+
 // freeFrame returns one order-0 frame to the caller's shard, draining
 // the oldest batch to the buddy core when the cache is full. Draining
 // from the front keeps recently freed frames at the LIFO top, so a
-// free-then-alloc on one P reuses the same (cache-hot) frame.
+// free-then-alloc on one P reuses the same (cache-hot) frame. A frame
+// left in another P's shard is not lost to growth: a refill that finds
+// the core empty takes other shards' caches before growing the arena.
 func (a *Allocator) freeFrame(f Frame) {
 	s := a.shardFor()
 	s.mu.Lock()

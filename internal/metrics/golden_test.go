@@ -6,9 +6,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// log2Hist builds a snapshot holding n[i] observations at the lower
+// bound of each log₂ bucket i (2^30 ns for the overflow bucket), then
+// pins count, sum and max to the golden's synthetic figures.
+func log2Hist(count, sum, max uint64, n map[int]uint64) HistogramSnapshot {
+	var h Histogram
+	for i, c := range n {
+		for ; c > 0; c-- {
+			h.Observe(time.Duration(1) << i)
+		}
+	}
+	s := h.Snapshot()
+	s.Count, s.SumNS, s.MaxNS = count, sum, max
+	return s
+}
 
 // goldenSnapshot is a fixed, fully-populated telemetry tree covering
 // every rendered section: both engines, histograms with interior and
@@ -18,17 +34,11 @@ func goldenSnapshot() Snapshot {
 
 	classic := &s.Fork.Engines[EngineClassic]
 	classic.Forks = 2
-	classic.Latency.Count = 2
-	classic.Latency.SumNS = 3_000_000
-	classic.Latency.MaxNS = 2_000_000
-	classic.Latency.Buckets[20] = 2 // [1.05ms, 2.1ms)
+	classic.Latency = log2Hist(2, 3_000_000, 2_000_000, map[int]uint64{20: 2}) // [1.05ms, 2.1ms)
 
 	od := &s.Fork.Engines[EngineOnDemand]
 	od.Forks = 3
-	od.Latency.Count = 3
-	od.Latency.SumNS = 150_000
-	od.Latency.MaxNS = 60_000
-	od.Latency.Buckets[15] = 3 // [32.8µs, 65.5µs)
+	od.Latency = log2Hist(3, 150_000, 60_000, map[int]uint64{15: 3}) // [32.8µs, 65.5µs)
 
 	s.Fork.TablesShared = 384
 	s.Fork.TablesCopied = 128
@@ -39,20 +49,11 @@ func goldenSnapshot() Snapshot {
 	s.Fork.UpperWalks = 260
 
 	s.Fault.ReadFaults = 10
-	s.Fault.ReadLatency.Count = 10
-	s.Fault.ReadLatency.SumNS = 4_000
-	s.Fault.ReadLatency.MaxNS = 500
-	s.Fault.ReadLatency.Buckets[8] = 10 // [256ns, 512ns)
+	s.Fault.ReadLatency = log2Hist(10, 4_000, 500, map[int]uint64{8: 10}) // [256ns, 512ns)
 	s.Fault.WriteFaults = 7
-	s.Fault.WriteLatency.Count = 7
-	s.Fault.WriteLatency.SumNS = 21_000
-	s.Fault.WriteLatency.MaxNS = 4_000
-	s.Fault.WriteLatency.Buckets[11] = 7 // [2.05µs, 4.1µs)
-	s.Fault.TableCopyLatency.Count = 2
-	s.Fault.TableCopyLatency.SumNS = 6_000_005_000
-	s.Fault.TableCopyLatency.MaxNS = 6_000_000_000
-	s.Fault.TableCopyLatency.Buckets[12] = 1          // interior
-	s.Fault.TableCopyLatency.Buckets[HistBuckets] = 1 // overflow
+	s.Fault.WriteLatency = log2Hist(7, 21_000, 4_000, map[int]uint64{11: 7}) // [2.05µs, 4.1µs)
+	s.Fault.TableCopyLatency = log2Hist(2, 6_000_005_000, 6_000_000_000,
+		map[int]uint64{12: 1, HistBuckets: 1}) // interior + overflow
 	s.Fault.TableSplits = 5
 	s.Fault.PMDSplits = 1
 	s.Fault.FastDedups = 2
@@ -79,19 +80,9 @@ func goldenSnapshot() Snapshot {
 	s.Reclaim.HugeSplits = 1
 	s.Reclaim.KswapdWakeups = 5
 	s.Reclaim.DirectReclaims = 2
-	s.Reclaim.SwapInLatency.Count = 30
-	s.Reclaim.SwapInLatency.SumNS = 90_000
-	s.Reclaim.SwapInLatency.MaxNS = 5_000
-	s.Reclaim.SwapInLatency.Buckets[11] = 30 // [2.05µs, 4.1µs)
-	s.Reclaim.SwapOutLatency.Count = 60
-	s.Reclaim.SwapOutLatency.SumNS = 300_000
-	s.Reclaim.SwapOutLatency.MaxNS = 9_000
-	s.Reclaim.SwapOutLatency.Buckets[12] = 60 // [4.1µs, 8.2µs)
-	s.Reclaim.DirectStallLatency.Count = 2
-	s.Reclaim.DirectStallLatency.SumNS = 400_000
-	s.Reclaim.DirectStallLatency.MaxNS = 300_000
-	s.Reclaim.DirectStallLatency.Buckets[17] = 1 // [131µs, 262µs)
-	s.Reclaim.DirectStallLatency.Buckets[18] = 1 // [262µs, 524µs)
+	s.Reclaim.SwapInLatency = log2Hist(30, 90_000, 5_000, map[int]uint64{11: 30})              // [2.05µs, 4.1µs)
+	s.Reclaim.SwapOutLatency = log2Hist(60, 300_000, 9_000, map[int]uint64{12: 60})            // [4.1µs, 8.2µs)
+	s.Reclaim.DirectStallLatency = log2Hist(2, 400_000, 300_000, map[int]uint64{17: 1, 18: 1}) // [131µs, 524µs)
 
 	s.TLB.Hits = 1_000
 	s.TLB.Misses = 50

@@ -1,5 +1,5 @@
 // Package metrics is the simulated kernel's telemetry subsystem: a
-// registry of atomic counters, gauges, and fixed-bucket latency
+// registry of atomic counters, gauges, and sub-bucketed latency
 // histograms covering every layer the paper's evaluation measures —
 // fork latency per engine (§5.1, Figure 2), fault-handling cost
 // (§5.2, Table 1), page-table sharing versus copying (§3.1), the
@@ -19,6 +19,11 @@
 //   - One counter per event: the paper's Figure 3 cost attribution is
 //     not a second counting channel but a view of these counters
 //     weighted by unit costs (Attribution, attribution.go).
+//   - One latency histogram: Histogram is sub-bucketed, so every
+//     quantile is within 2^-5 of the exact order statistic and never
+//     below it. The fork/fault/reclaim series, the watchdog and the SLO
+//     harness all use it; the exposition formats show its exact log₂
+//     rollup.
 package metrics
 
 import (
@@ -54,26 +59,82 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// HistBuckets is the number of finite log₂ latency buckets. Bucket i
-// covers [2^i, 2^(i+1)) nanoseconds (bucket 0 also absorbs
-// sub-nanosecond observations), so the finite range spans 1 ns up to
-// 2^30 ns ≈ 1.07 s — the ns→ms scale the fork and fault paths live on.
-// Observations beyond the last finite bucket land in the overflow
-// bucket, index HistBuckets.
+// The histogram uses the hdrhistogram slot layout: a value below
+// subCount ns gets an exact slot, and a larger value keeps its subBits
+// most significant bits, so a slot's upper edge is at most 2^-subBits
+// (≈3.1%) above any value in it. The finite slots cover [0, 2^rangeBits)
+// ns (≈69 s); one overflow slot past them holds everything larger.
+const (
+	subBits   = 5
+	subCount  = 1 << subBits
+	rangeBits = 36
+	// overflowSlot is the index of the overflow slot; the finite slots
+	// are 0..overflowSlot-1.
+	overflowSlot = (rangeBits - subBits + 1) << subBits
+)
+
+// slotOf maps a nanosecond value to its slot index.
+func slotOf(ns uint64) int {
+	if ns < subCount {
+		return int(ns)
+	}
+	n := bits.Len64(ns)
+	if n > rangeBits {
+		return overflowSlot
+	}
+	shift := n - subBits - 1
+	return (shift+1)<<subBits | int(ns>>shift&(subCount-1))
+}
+
+// slotLow is the smallest value slot i holds: a finite slot holds
+// [slotLow(i), slotLow(i+1)). Every power of two starts a slot, so no
+// slot straddles one.
+func slotLow(i int) uint64 {
+	b, sub := i>>subBits, uint64(i&(subCount-1))
+	if b == 0 {
+		return sub
+	}
+	return (subCount + sub) << (b - 1)
+}
+
+// HistBuckets is the number of finite log₂ buckets the exposition
+// formats show (Render, OpenMetrics). Bucket i covers [2^i, 2^(i+1))
+// nanoseconds (bucket 0 also absorbs 0 ns), so the finite range spans
+// up to 2^30 ns ≈ 1.07 s; index HistBuckets is the overflow bucket.
+// Every power of two is a slot boundary, so the log₂ counts are exact
+// sums of slots (HistogramSnapshot.Log2Buckets).
 const HistBuckets = 30
+
+// Log2Bucket maps a nanosecond value to its log₂ exposition bucket.
+func Log2Bucket(ns uint64) int {
+	if ns == 0 {
+		return 0
+	}
+	return min(bits.Len64(ns)-1, HistBuckets)
+}
+
+// BucketBound returns the exclusive upper bound of log₂ bucket i in
+// nanoseconds, or 0 for the overflow bucket.
+func BucketBound(i int) uint64 {
+	if i >= HistBuckets {
+		return 0
+	}
+	return uint64(1) << (i + 1)
+}
 
 // ExemplarSlots is how many worst-case observations a histogram keeps
 // request ids for: enough to chase a handful of tail samples from a
 // p99 bucket back to their traces without growing the struct much.
 const ExemplarSlots = 4
 
-// Histogram is a fixed-bucket log₂ latency histogram. The zero value
-// is ready to use.
+// Histogram is a sub-bucketed latency histogram whose quantiles are
+// within 2^-subBits of the exact order statistic (see Quantile). The
+// zero value is ready to use.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64 // total nanoseconds
-	max     atomic.Uint64 // largest observation, nanoseconds
-	buckets [HistBuckets + 1]atomic.Uint64
+	count atomic.Uint64
+	sum   atomic.Uint64 // total nanoseconds
+	max   atomic.Uint64 // largest observation, nanoseconds
+	slots [overflowSlot + 1]atomic.Uint64
 	// Exemplar slots: the worst ExemplarSlots tagged observations seen
 	// so far, each pairing a latency with the request id that produced
 	// it. exNS is the admission gate (CAS min-replacement); exReq is
@@ -82,27 +143,6 @@ type Histogram struct {
 	// approximation for a debugging aid, never a torn value.
 	exNS  [ExemplarSlots]atomic.Uint64
 	exReq [ExemplarSlots]atomic.Uint64
-}
-
-// bucketOf maps a nanosecond latency to its bucket index.
-func bucketOf(ns uint64) int {
-	if ns == 0 {
-		return 0
-	}
-	b := bits.Len64(ns) - 1
-	if b >= HistBuckets {
-		return HistBuckets
-	}
-	return b
-}
-
-// BucketBound returns the exclusive upper bound of bucket i in
-// nanoseconds, or 0 for the overflow bucket.
-func BucketBound(i int) uint64 {
-	if i >= HistBuckets {
-		return 0
-	}
-	return uint64(1) << (i + 1)
 }
 
 // Observe records one latency observation.
@@ -119,11 +159,11 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
-	h.buckets[bucketOf(ns)].Add(1)
+	h.slots[slotOf(ns)].Add(1)
 }
 
 // ObserveTagged records one latency observation carrying the request
-// id that produced it. The observation lands in the buckets exactly as
+// id that produced it. The observation lands in the slots exactly as
 // Observe's would; additionally, if it is among the worst ExemplarSlots
 // tagged observations so far, it claims an exemplar slot so the tail of
 // the distribution stays traceable. req == 0 degrades to plain Observe.
@@ -161,15 +201,19 @@ func (h *Histogram) ObserveTagged(d time.Duration, req uint64) {
 }
 
 // Snapshot returns a point-in-time copy of the histogram. Concurrent
-// Observe calls may be partially included (count, sum, and buckets are
+// Observe calls may be partially included (count, sum, and slots are
 // read independently); totals are eventually consistent, never torn.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Count = h.count.Load()
 	s.SumNS = h.sum.Load()
 	s.MaxNS = h.max.Load()
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
+	var counts [overflowSlot + 1]uint64
+	for i := range h.slots {
+		counts[i] = h.slots[i].Load()
+	}
+	if c := trimCounts(counts[:]); len(c) > 0 {
+		s.Counts = append([]uint64(nil), c...)
 	}
 	for i := range h.exNS {
 		if ns := h.exNS[i].Load(); ns != 0 {

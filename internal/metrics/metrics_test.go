@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +28,7 @@ func TestCounterGauge(t *testing.T) {
 func TestHistogramZeroObservations(t *testing.T) {
 	var h Histogram
 	s := h.Snapshot()
-	if s.Count != 0 || s.SumNS != 0 || s.MaxNS != 0 {
+	if s.Count != 0 || s.SumNS != 0 || s.MaxNS != 0 || s.Counts != nil {
 		t.Fatalf("empty histogram snapshot not zero: %+v", s)
 	}
 	if s.Mean() != 0 {
@@ -37,10 +39,8 @@ func TestHistogramZeroObservations(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
 		}
 	}
-	for i, n := range s.Buckets {
-		if n != 0 {
-			t.Fatalf("empty histogram has bucket[%d] = %d", i, n)
-		}
+	if b := s.Log2Buckets(); b != [HistBuckets + 1]uint64{} {
+		t.Fatalf("empty histogram has log2 buckets %v", b)
 	}
 }
 
@@ -56,11 +56,12 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if s.Count != 5 {
 		t.Fatalf("count = %d, want 5", s.Count)
 	}
-	if s.Buckets[0] != 3 {
-		t.Fatalf("bucket 0 = %d, want 3", s.Buckets[0])
+	b := s.Log2Buckets()
+	if b[0] != 3 {
+		t.Fatalf("bucket 0 = %d, want 3", b[0])
 	}
-	if s.Buckets[10] != 2 {
-		t.Fatalf("bucket 10 = %d, want 2", s.Buckets[10])
+	if b[10] != 2 {
+		t.Fatalf("bucket 10 = %d, want 2", b[10])
 	}
 	if s.MaxNS != 1500 {
 		t.Fatalf("max = %d, want 1500", s.MaxNS)
@@ -68,23 +69,33 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if s.SumNS != 1+1024+1500 {
 		t.Fatalf("sum = %d, want %d", s.SumNS, 1+1024+1500)
 	}
+	if want := slotOf(1500) + 1; len(s.Counts) != want {
+		t.Fatalf("counts not trimmed after the last used slot: len %d, want %d", len(s.Counts), want)
+	}
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
 	var h Histogram
-	big := 5 * time.Second // far beyond the 2^30 ns finite range
+	big := 5 * time.Second // beyond the 2^30 ns log₂ range, inside the slots'
 	h.Observe(big)
-	h.Observe(time.Duration(1) << 62)
+	h.Observe(time.Duration(1) << 62) // beyond the slots' 2^36 ns range
 	s := h.Snapshot()
-	if got := s.Buckets[HistBuckets]; got != 2 {
+	if got := s.Log2Buckets()[HistBuckets]; got != 2 {
 		t.Fatalf("overflow bucket = %d, want 2", got)
+	}
+	if got := s.Counts[overflowSlot]; got != 1 {
+		t.Fatalf("overflow slot = %d, want 1", got)
 	}
 	if s.MaxNS != uint64(1)<<62 {
 		t.Fatalf("max = %d, want %d", s.MaxNS, uint64(1)<<62)
 	}
-	// Quantiles landing in the overflow bucket report the recorded max:
-	// the bucket has no finite upper bound to interpolate against.
-	if got := s.Quantile(0.99); got != s.MaxNS {
+	// A finite slot keeps 5 significant bits even past the log₂ range;
+	// a rank in the overflow slot reports the recorded max, since the
+	// slot has no finite upper edge.
+	if got := s.Quantile(0.5); got < uint64(big) || float64(got) > float64(big)*(1+1.0/subCount) {
+		t.Fatalf("p50 = %d, want within 2^-5 above %d", got, uint64(big))
+	}
+	if got := s.Quantile(1); got != s.MaxNS {
 		t.Fatalf("overflow quantile = %d, want max %d", got, s.MaxNS)
 	}
 	// Rendering labels the overflow bucket +inf.
@@ -95,12 +106,121 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileSingleObservation pins the Count==1 fast path:
-// with one observation every quantile is exactly that observation, not
-// a mid-bucket interpolation (which could report up to 2× the value).
+// TestHistogramSlotIndexing pins the hdrhistogram layout: every value
+// lands in a slot whose bounds hold it, whose upper edge is within
+// 2^-5 of it, and whose predecessor lies wholly below it; every power
+// of two starts a slot.
+func TestHistogramSlotIndexing(t *testing.T) {
+	vals := []uint64{0, 1, 31, 32, 33, 63, 64, 100, 1023, 1024, 1 << 20, 1<<36 - 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, uint64(rng.Int63n(1<<36)))
+	}
+	for _, v := range vals {
+		i := slotOf(v)
+		if i >= overflowSlot {
+			t.Fatalf("value %d: slot %d is the overflow slot", v, i)
+		}
+		lo, hi := slotLow(i), slotLow(i+1)-1
+		if v < lo || v > hi {
+			t.Fatalf("value %d: slot %d holds [%d, %d]", v, i, lo, hi)
+		}
+		if float64(hi-v) > float64(v)/subCount {
+			t.Fatalf("value %d: upper edge %d exceeds the error bound", v, hi)
+		}
+		if i > 0 && slotLow(i) <= slotLow(i-1) {
+			t.Fatalf("value %d: slot %d starts at %d, not above slot %d's %d", v, i, lo, i-1, slotLow(i-1))
+		}
+	}
+	for k := 0; k < rangeBits; k++ {
+		if v := uint64(1) << k; slotLow(slotOf(v)) != v {
+			t.Fatalf("2^%d does not start a slot", k)
+		}
+	}
+	if got := slotOf(1 << rangeBits); got != overflowSlot {
+		t.Fatalf("2^%d lands in slot %d, want the overflow slot", rangeBits, got)
+	}
+}
+
+// TestHistogramLog2Rollup checks the exposition buckets against a
+// direct log₂ count of the same values: bucket i holds the values
+// below 2^(i+1) not counted by an earlier bucket.
+func TestHistogramLog2Rollup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var h Histogram
+	var want [HistBuckets + 1]uint64
+	for i := 0; i < 20000; i++ {
+		v := uint64(rng.Int63n(1 << uint(1+rng.Intn(40))))
+		if i < 64 {
+			v = uint64(1)<<(i/2) - uint64(i%2) // 2^k and 2^k−1 edges
+		}
+		h.Observe(time.Duration(v))
+		b := HistBuckets
+		for j := 0; j < HistBuckets; j++ {
+			if v < BucketBound(j) {
+				b = j
+				break
+			}
+		}
+		want[b]++
+	}
+	if got := h.Snapshot().Log2Buckets(); got != want {
+		t.Fatalf("log2 rollup\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestHistogramQuantileBoundedError is the accuracy property: over
+// random populations (0, 1, 2^k±1, values past 2^30, and one overflow
+// sample), every reported quantile lies between the exact order
+// statistic of its rank and min(max, that statistic·(1+2^-5)).
+func TestHistogramQuantileBoundedError(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(5000)
+		var h Histogram
+		vals := make([]uint64, 0, n+1)
+		for i := 0; i < n; i++ {
+			var v uint64
+			switch rng.Intn(4) {
+			case 0:
+				v = uint64(1)<<rng.Intn(36) + uint64(rng.Intn(3)) - 1 // 2^k−1, 2^k, 2^k+1
+			case 1:
+				v = 1<<30 + uint64(rng.Int63n(1<<35)) // past the log₂ range
+			default:
+				v = uint64(rng.Int63n(1 << uint(rng.Intn(37))))
+			}
+			vals = append(vals, v)
+		}
+		if n >= 1000 {
+			// One sample above every 0.999 rank: the overflow slot.
+			vals = append(vals, 1<<40+uint64(rng.Intn(1000)))
+		}
+		for _, v := range vals {
+			h.Observe(time.Duration(v))
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		s := h.Snapshot()
+		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+			rank := max(int(q*float64(len(vals))), 1)
+			exact := vals[rank-1]
+			got := s.Quantile(q)
+			bound := min(float64(s.MaxNS), float64(exact)*(1+1.0/subCount))
+			if got < exact || float64(got) > bound {
+				t.Fatalf("seed %d n %d: Quantile(%v) = %d, exact %d, bound %.0f", seed, len(vals), q, got, exact, bound)
+			}
+		}
+		if got := s.Quantile(1); got != vals[len(vals)-1] {
+			t.Fatalf("seed %d: Quantile(1) = %d, want max %d", seed, got, vals[len(vals)-1])
+		}
+	}
+}
+
+// TestHistogramQuantileSingleObservation: with one observation every
+// quantile is exactly that observation (the slot's upper edge is
+// clamped to the max).
 func TestHistogramQuantileSingleObservation(t *testing.T) {
 	var h Histogram
-	h.Observe(1500 * time.Nanosecond) // bucket [1024,2048)
+	h.Observe(1500 * time.Nanosecond) // slot [1472, 1503]
 	s := h.Snapshot()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := s.Quantile(q); got != 1500 {
@@ -109,18 +229,21 @@ func TestHistogramQuantileSingleObservation(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileMaxClamp pins the unconditional MaxNS clamp: no
-// quantile reports past the largest observation, including when every
+// TestHistogramQuantileMaxClamp pins the MaxNS clamp: no quantile
+// reports past the largest observation, including when every
 // observation was 0 ns (MaxNS == 0).
 func TestHistogramQuantileMaxClamp(t *testing.T) {
 	var h Histogram
-	// Two observations at the very bottom of bucket 10: interpolation
-	// across [1024,2048) would overshoot without the clamp.
+	// Two observations at the bottom of the slot [1024, 1055]: its
+	// upper edge would overshoot without the clamp.
 	h.Observe(1024)
 	h.Observe(1025)
 	s := h.Snapshot()
-	if got := s.Quantile(0.99); got > s.MaxNS {
-		t.Fatalf("p99 = %d exceeds max %d", got, s.MaxNS)
+	if got := s.Quantile(0.99); got != 1025 {
+		t.Fatalf("p99 = %d, want the slot edge 1055 clamped to max 1025", got)
+	}
+	if got := s.Quantile(1); got != s.MaxNS {
+		t.Fatalf("p100 = %d, want max %d", got, s.MaxNS)
 	}
 
 	var z Histogram
@@ -132,18 +255,47 @@ func TestHistogramQuantileMaxClamp(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileInterpolation(t *testing.T) {
+// TestHistogramQuantileNearestRank pins the rank rule on a known
+// population: rank ⌊q·n⌋ (at least 1), reported as its slot's upper
+// edge.
+func TestHistogramQuantileNearestRank(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(1000 + i*10)) // all inside [1024,2048) except a few low ones
+		h.Observe(time.Duration(1000 + i*10)) // 1000, 1010, …, 1990
 	}
 	s := h.Snapshot()
-	p50 := s.Quantile(0.5)
-	if p50 < 512 || p50 >= 2048 {
-		t.Fatalf("p50 = %d, want within the populated log2 range", p50)
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{
+		{0, 1007},    // rank 1: 1000 in [992, 1007]
+		{0.5, 1503},  // rank 50: 1490 in [1472, 1503]
+		{0.99, 1983}, // rank 99: 1980 in [1952, 1983]
+		{1, 1990},    // rank 100: 1990 in [1984, 2015], clamped to max
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
 	}
-	if p99, p50 := s.Quantile(0.99), s.Quantile(0.50); p99 < p50 {
-		t.Fatalf("p99 (%d) < p50 (%d)", p99, p50)
+}
+
+// TestHistogramSubLengths: slot slices of different lengths subtract
+// slot by slot, and the delta is trimmed again.
+func TestHistogramSubLengths(t *testing.T) {
+	var h Histogram
+	h.Observe(100)
+	prev := h.Snapshot()
+	h.Observe(1 << 20)
+	cur := h.Snapshot()
+	d := cur.Sub(prev)
+	if d.Count != 1 || d.SumNS != 1<<20 || len(d.Counts) != len(cur.Counts) || d.Counts[slotOf(100)] != 0 {
+		t.Fatalf("longer − shorter: %+v", d)
+	}
+	if z := prev.Sub(prev); z.Count != 0 || z.Counts != nil {
+		t.Fatalf("self delta not empty: %+v", z)
+	}
+	if got := d.Quantile(0.5); got != 1<<20 {
+		t.Fatalf("delta p50 = %d, want %d", got, 1<<20)
 	}
 }
 
@@ -155,6 +307,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		writers = 4
 		perG    = 2000
 	)
+	total := func(s HistogramSnapshot) (n uint64) {
+		for _, c := range s.Counts {
+			n += c
+		}
+		return n
+	}
 	var writersWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
 	readerWG.Add(1)
@@ -167,15 +325,11 @@ func TestHistogramConcurrent(t *testing.T) {
 			default:
 			}
 			s := h.Snapshot()
-			var inBuckets uint64
-			for _, n := range s.Buckets {
-				inBuckets += n
-			}
-			// count and buckets are read independently, so they may
+			// count and slots are read independently, so they may
 			// skew during concurrent writes, but never go negative or
 			// exceed the final total.
-			if inBuckets > writers*perG {
-				t.Errorf("bucket total %d exceeds writes", inBuckets)
+			if n := total(s); n > writers*perG {
+				t.Errorf("slot total %d exceeds writes", n)
 				return
 			}
 		}
@@ -185,7 +339,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer writersWG.Done()
 			for i := 0; i < perG; i++ {
-				h.Observe(time.Duration(g*1000 + i))
+				h.ObserveTagged(time.Duration(g*1000+i), uint64(i))
 			}
 		}(g)
 	}
@@ -196,12 +350,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	if s.Count != writers*perG {
 		t.Fatalf("final count = %d, want %d", s.Count, writers*perG)
 	}
-	var inBuckets uint64
-	for _, n := range s.Buckets {
-		inBuckets += n
-	}
-	if inBuckets != writers*perG {
-		t.Fatalf("final bucket total = %d, want %d", inBuckets, writers*perG)
+	if n := total(s); n != writers*perG {
+		t.Fatalf("final slot total = %d, want %d", n, writers*perG)
 	}
 }
 
@@ -282,5 +432,17 @@ func TestRenderDeterministicOrder(t *testing.T) {
 		if !strings.Contains(out1, want) {
 			t.Fatalf("render missing %q:\n%s", want, out1)
 		}
+	}
+}
+
+// BenchmarkHistogramObserve is the hot-path cost of one observation:
+// the slot index plus four atomic operations, no allocation.
+func BenchmarkHistogramObserve(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		h.Observe(time.Duration(i&0xfffff) * 37)
+		i++
 	}
 }

@@ -14,13 +14,25 @@ type Exemplar struct {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
 type HistogramSnapshot struct {
-	Count   uint64
-	SumNS   uint64
-	MaxNS   uint64
-	Buckets [HistBuckets + 1]uint64
+	Count uint64
+	SumNS uint64
+	MaxNS uint64
+	// Counts holds the observation count of each slot (see slotOf),
+	// trimmed after the last non-zero slot: nil when empty, and only
+	// as long as the largest observation needs.
+	Counts []uint64 `json:",omitempty"`
 	// Exemplars are the worst tagged observations, largest first
 	// (empty unless ObserveTagged ran with nonzero request ids).
 	Exemplars []Exemplar
+}
+
+// trimCounts drops the zero slots after the last non-zero one.
+func trimCounts(c []uint64) []uint64 {
+	n := len(c)
+	for n > 0 && c[n-1] == 0 {
+		n--
+	}
+	return c[:n]
 }
 
 // Mean returns the mean observation in nanoseconds (0 when empty).
@@ -31,63 +43,43 @@ func (h HistogramSnapshot) Mean() float64 {
 	return float64(h.SumNS) / float64(h.Count)
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) in nanoseconds by
-// linear interpolation inside the target log₂ bucket. Overflow-bucket
-// hits report the recorded maximum; an empty histogram reports 0.
+// Quantile returns the q-th quantile (0 ≤ q ≤ 1) in nanoseconds by the
+// nearest-rank rule: the rank-th smallest observation, rank = ⌊q·Count⌋
+// clamped to [1, Count], reported as the upper edge of the slot holding
+// it and clamped to MaxNS. The result is never below that observation
+// and at most 2^-5 above it (exact below 32 ns); a rank in the overflow
+// slot reports MaxNS, and an empty histogram reports 0.
 func (h HistogramSnapshot) Quantile(q float64) uint64 {
 	if h.Count == 0 {
 		return 0
 	}
-	// With one observation every quantile IS that observation; bucket
-	// interpolation would report a mid-bucket estimate up to 2× off.
-	if h.Count == 1 {
-		return h.MaxNS
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var seen float64
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		next := seen + float64(n)
-		if rank <= next || i == len(h.Buckets)-1 {
-			if i == HistBuckets {
+	rank := uint64(min(max(q, 0), 1) * float64(h.Count))
+	rank = max(rank, 1)
+	var seen uint64
+	for i, n := range h.Counts {
+		seen += n
+		if seen >= rank {
+			if i == overflowSlot {
 				return h.MaxNS
 			}
-			lo := uint64(0)
-			if i > 0 {
-				lo = uint64(1) << i
-			}
-			hi := BucketBound(i)
-			frac := (rank - seen) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			est := lo + uint64(frac*float64(hi-lo))
-			// Interpolation inside a log₂ bucket can overshoot the
-			// largest value actually observed; never report past it.
-			// (MaxNS == 0 means every observation was 0 ns, so the
-			// clamp is right then too.)
-			if est > h.MaxNS {
-				est = h.MaxNS
-			}
-			return est
+			return min(slotLow(i+1)-1, h.MaxNS)
 		}
-		seen = next
 	}
 	return h.MaxNS
 }
 
-// Sub returns the histogram delta h − prev. Count, sum, and buckets
+// Log2Buckets rolls the slots up into the HistBuckets+1 log₂ buckets the
+// exposition formats show. Each slot lies inside one log₂ bucket, so the
+// rollup is exact.
+func (h HistogramSnapshot) Log2Buckets() [HistBuckets + 1]uint64 {
+	var b [HistBuckets + 1]uint64
+	for i, n := range h.Counts {
+		b[Log2Bucket(slotLow(i))] += n
+	}
+	return b
+}
+
+// Sub returns the histogram delta h − prev. Count, sum, and slots
 // subtract; MaxNS and the exemplars keep the current values, since a
 // maximum cannot be un-observed (exact for deltas taken against a
 // fresh registry).
@@ -98,8 +90,12 @@ func (h HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 		MaxNS:     h.MaxNS,
 		Exemplars: h.Exemplars,
 	}
-	for i := range h.Buckets {
-		d.Buckets[i] = h.Buckets[i] - prev.Buckets[i]
+	c := append([]uint64(nil), h.Counts...)
+	for i := range min(len(c), len(prev.Counts)) {
+		c[i] -= prev.Counts[i]
+	}
+	if c = trimCounts(c); len(c) > 0 {
+		d.Counts = c
 	}
 	return d
 }
@@ -404,7 +400,7 @@ func (s Snapshot) Render() string {
 		line(name+".max_ns", h.MaxNS)
 		line(name+".p50_ns", h.Quantile(0.50))
 		line(name+".p99_ns", h.Quantile(0.99))
-		for i, n := range h.Buckets {
+		for i, n := range h.Log2Buckets() {
 			if n == 0 {
 				continue
 			}

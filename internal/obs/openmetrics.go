@@ -41,14 +41,14 @@ func RenderOpenMetrics(s metrics.Snapshot) string {
 	hist := func(name string, labels Labels, hs metrics.HistogramSnapshot) {
 		exByBucket := make(map[int]metrics.Exemplar)
 		for _, e := range hs.Exemplars {
-			i := bucketIndexOf(e.NS)
+			i := metrics.Log2Bucket(e.NS)
 			if prev, ok := exByBucket[i]; !ok || e.NS > prev.NS {
 				exByBucket[i] = e
 			}
 		}
 		var cum uint64
-		for i := 0; i <= metrics.HistBuckets; i++ {
-			cum += hs.Buckets[i]
+		for i, n := range hs.Log2Buckets() {
+			cum += n
 			le := "+Inf"
 			if bound := metrics.BucketBound(i); bound != 0 {
 				le = strconv.FormatUint(bound, 10)
@@ -176,17 +176,6 @@ func tenantLabels(t metrics.TenantSlotSnapshot, extra ...Label) Labels {
 		{"tenant_name", t.Name},
 	}
 	return append(ls, extra...)
-}
-
-// bucketIndexOf mirrors the histogram's log₂ bucketing for exemplar
-// placement: the index of the bucket an ns observation landed in.
-func bucketIndexOf(ns uint64) int {
-	for i := 0; i < metrics.HistBuckets; i++ {
-		if ns < metrics.BucketBound(i) {
-			return i
-		}
-	}
-	return metrics.HistBuckets
 }
 
 // formatValue renders a sample value the way the parser re-renders it,

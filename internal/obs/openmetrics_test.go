@@ -6,11 +6,27 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// log2Hist builds a snapshot holding n[i] observations at the lower
+// bound of each log₂ bucket i (2^30 ns for the overflow bucket), then
+// pins count and sum to the golden's synthetic figures.
+func log2Hist(count, sum uint64, n map[int]uint64) metrics.HistogramSnapshot {
+	var h metrics.Histogram
+	for i, c := range n {
+		for ; c > 0; c-- {
+			h.Observe(time.Duration(1) << i)
+		}
+	}
+	s := h.Snapshot()
+	s.Count, s.SumNS = count, sum
+	return s
+}
 
 // goldenSnapshot is a fixed telemetry tree exercising every exposition
 // section: both engines, histograms with interior and overflow
@@ -21,31 +37,20 @@ func goldenSnapshot() metrics.Snapshot {
 
 	classic := &s.Fork.Engines[metrics.EngineClassic]
 	classic.Forks = 2
-	classic.Latency.Count = 2
-	classic.Latency.SumNS = 3_000_000
-	classic.Latency.MaxNS = 2_000_000
-	classic.Latency.Buckets[20] = 2
+	classic.Latency = log2Hist(2, 3_000_000, map[int]uint64{20: 2})
 
 	od := &s.Fork.Engines[metrics.EngineOnDemand]
 	od.Forks = 3
-	od.Latency.Count = 3
-	od.Latency.SumNS = 150_000
-	od.Latency.MaxNS = 60_000
-	od.Latency.Buckets[15] = 3
+	od.Latency = log2Hist(3, 150_000, map[int]uint64{15: 3})
 	od.Latency.Exemplars = []metrics.Exemplar{
 		{NS: 60_000, Req: 7},
 		{NS: 45_000, Req: 3},
 	}
 
 	s.Fault.ReadFaults = 10
-	s.Fault.ReadLatency.Count = 10
-	s.Fault.ReadLatency.SumNS = 4_000
-	s.Fault.ReadLatency.Buckets[8] = 10
+	s.Fault.ReadLatency = log2Hist(10, 4_000, map[int]uint64{8: 10})
 	s.Fault.WriteFaults = 7
-	s.Fault.WriteLatency.Count = 7
-	s.Fault.WriteLatency.SumNS = 21_000
-	s.Fault.WriteLatency.Buckets[11] = 6
-	s.Fault.WriteLatency.Buckets[metrics.HistBuckets] = 1 // overflow
+	s.Fault.WriteLatency = log2Hist(7, 21_000, map[int]uint64{11: 6, metrics.HistBuckets: 1}) // + overflow
 	s.Fault.WriteLatency.Exemplars = []metrics.Exemplar{{NS: 4_000, Req: 9}}
 	s.Fault.TableSplits = 5
 	s.Fault.PMDSplits = 1
@@ -57,15 +62,11 @@ func goldenSnapshot() metrics.Snapshot {
 	s.Tenant.ForksAdmitted = 12
 	s.Tenant.ForksQueued = 4
 	s.Tenant.ForksRejected = 1
-	s.Tenant.QueueWait.Count = 4
-	s.Tenant.QueueWait.SumNS = 8_000_000
-	s.Tenant.QueueWait.Buckets[21] = 4
+	s.Tenant.QueueWait = log2Hist(4, 8_000_000, map[int]uint64{21: 4})
 
 	s.Reclaim.PgStealKswapd = 100
 	s.Reclaim.PgStealDirect = 25
-	s.Reclaim.DirectStallLatency.Count = 1
-	s.Reclaim.DirectStallLatency.SumNS = 2_000_000
-	s.Reclaim.DirectStallLatency.Buckets[20] = 1
+	s.Reclaim.DirectStallLatency = log2Hist(1, 2_000_000, map[int]uint64{20: 1})
 	s.Robust.SwapDegrades = 1
 
 	s.Alloc.FramesInUse = 4096
@@ -73,23 +74,17 @@ func goldenSnapshot() metrics.Snapshot {
 
 	t1 := metrics.TenantSlotSnapshot{ID: 1, Name: "alpha"}
 	t1.Forks[metrics.EngineOnDemand] = 5
-	t1.ForkLatency[metrics.EngineOnDemand].Count = 5
-	t1.ForkLatency[metrics.EngineOnDemand].SumNS = 250_000
-	t1.ForkLatency[metrics.EngineOnDemand].Buckets[15] = 5
+	t1.ForkLatency[metrics.EngineOnDemand] = log2Hist(5, 250_000, map[int]uint64{15: 5})
 	t1.ForkLatency[metrics.EngineOnDemand].Exemplars = []metrics.Exemplar{{NS: 61_000, Req: 11}}
 	t1.TableSplits = 3
 	t1.PageCopies = 8
-	t1.QueueWait.Count = 2
-	t1.QueueWait.SumNS = 4_000_000
-	t1.QueueWait.Buckets[21] = 2
+	t1.QueueWait = log2Hist(2, 4_000_000, map[int]uint64{21: 2})
 	t1.ReclaimEvictions = 40
 	t1.QuotaRejections = 2
 
 	t2 := metrics.TenantSlotSnapshot{ID: 2, Name: "be\"ta\\v1\nx"}
 	t2.Forks[metrics.EngineClassic] = 1
-	t2.ForkLatency[metrics.EngineClassic].Count = 1
-	t2.ForkLatency[metrics.EngineClassic].SumNS = 1_000_000
-	t2.ForkLatency[metrics.EngineClassic].Buckets[19] = 1
+	t2.ForkLatency[metrics.EngineClassic] = log2Hist(1, 1_000_000, map[int]uint64{19: 1})
 
 	s.Tenants = []metrics.TenantSlotSnapshot{t1, t2}
 	return s

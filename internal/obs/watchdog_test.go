@@ -25,11 +25,9 @@ func TestEvaluatePure(t *testing.T) {
 
 	var hot metrics.Snapshot
 	// One 200ms on-demand fork in the window: p99 lands near the max.
-	lat := &hot.Fork.Engines[metrics.EngineOnDemand].Latency
-	lat.Count = 1
-	lat.SumNS = 200_000_000
-	lat.MaxNS = 200_000_000
-	lat.Buckets[27] = 1 // [134ms, 268ms)
+	var lat metrics.Histogram
+	lat.Observe(200 * time.Millisecond)
+	hot.Fork.Engines[metrics.EngineOnDemand].Latency = lat.Snapshot()
 	hot.Robust.SwapDegrades = 2
 	checks := evaluate(hot, cfg)
 	byName := map[string]kernel.CheckState{}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps/serve"
+	"repro/internal/metrics"
 )
 
 // ForkLog records snapshot-fork windows so the generator can tag
@@ -118,9 +119,9 @@ type Summary struct {
 	Offered  float64 // requests/second offered (0 when closed-loop)
 	Achieved float64 // requests/second completed
 	Elapsed  time.Duration
-	All      Hist // every sample
-	Fork     Hist // samples whose window overlapped a fork
-	Quiet    Hist // the rest
+	All      metrics.HistogramSnapshot // every sample
+	Fork     metrics.HistogramSnapshot // samples whose window overlapped a fork
+	Quiet    metrics.HistogramSnapshot // the rest
 	Worst    []WorstSample
 }
 
@@ -138,10 +139,12 @@ func Run(cfg Config) (*Summary, error) {
 		interarrival = time.Duration(float64(time.Second) / cfg.Rate * float64(cfg.Conns))
 	}
 
+	// The connections record into shared atomic histograms; only the
+	// exact worst-N lists are kept per connection and merged.
+	var all, fork, quiet metrics.Histogram
 	type connResult struct {
-		all, fork, quiet Hist
-		worst            []WorstSample
-		err              error
+		worst []WorstSample
+		err   error
 	}
 	results := make([]connResult, cfg.Conns)
 	conns := make([]net.Conn, cfg.Conns)
@@ -214,11 +217,11 @@ func Run(cfg Config) (*Summary, error) {
 					tagged = true
 				}
 				lat := recv.Sub(sched)
-				r.all.RecordDuration(lat)
+				all.Observe(lat)
 				if tagged {
-					r.fork.RecordDuration(lat)
+					fork.Observe(lat)
 				} else {
-					r.quiet.RecordDuration(lat)
+					quiet.Observe(lat)
 				}
 				r.worst = insertWorst(r.worst, WorstSample{
 					LatencyUS:      float64(lat) / float64(time.Microsecond),
@@ -232,21 +235,19 @@ func Run(cfg Config) (*Summary, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	out := &Summary{Offered: cfg.Rate, Elapsed: elapsed}
+	out := &Summary{Offered: cfg.Rate, Elapsed: elapsed,
+		All: all.Snapshot(), Fork: fork.Snapshot(), Quiet: quiet.Snapshot()}
 	for c := range results {
 		r := &results[c]
 		if r.err != nil {
 			return nil, r.err
 		}
-		out.All.Merge(&r.all)
-		out.Fork.Merge(&r.fork)
-		out.Quiet.Merge(&r.quiet)
 		for _, w := range r.worst {
 			out.Worst = insertWorst(out.Worst, w)
 		}
 	}
 	if elapsed > 0 {
-		out.Achieved = float64(out.All.Count()) / elapsed.Seconds()
+		out.Achieved = float64(out.All.Count) / elapsed.Seconds()
 	}
 	return out, nil
 }

@@ -1,3 +1,10 @@
+// Package slo is the tail-latency harness: an irtt-style isochronous
+// load generator that drives the serve layer's TCP servers, records
+// per-request latency in the sub-bucketed metrics.Histogram (quantiles
+// within 2^-5 of exact) with exact worst-N tracking, and tags every
+// sample with whether a snapshot fork was in flight during its
+// scheduled-send→receive window — the instrument that measures the
+// paper's "snapshot while serving" claim end to end.
 package slo
 
 import (
@@ -265,14 +272,14 @@ func runTrial(cfg HarnessConfig, k *kernel.Kernel, app serve.App, srv *serve.Ser
 		LoadRatio:       ratio,
 		OfferedRPS:      sum.Offered,
 		AchievedRPS:     sum.Achieved,
-		Requests:        sum.All.Count(),
+		Requests:        sum.All.Count,
 		DurationMS:      float64(sum.Elapsed) / float64(time.Millisecond),
 		SnapshotEveryMS: float64(cfg.SnapshotEvery) / float64(time.Millisecond),
 		Snapshots:       tot.Snapshots - base.Snapshots,
 		ForkMeanUS:      deltaForkMeanUS(base, tot),
-		Latency:         Summarize(&sum.All),
-		ForkCoincident:  Summarize(&sum.Fork),
-		Quiescent:       Summarize(&sum.Quiet),
+		Latency:         Summarize(sum.All),
+		ForkCoincident:  Summarize(sum.Fork),
+		Quiescent:       Summarize(sum.Quiet),
 		WorstUS:         sum.Worst,
 	}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"repro/internal/metrics"
 )
 
 // SchemaV1 identifies the SLO result schema, the odf-bench/v1
@@ -68,16 +70,19 @@ type LatencySummary struct {
 }
 
 // Summarize flattens h.
-func Summarize(h *Hist) LatencySummary {
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+func Summarize(h metrics.HistogramSnapshot) LatencySummary {
+	us := func(ns uint64) float64 { return float64(ns) / 1e3 }
+	// pct divides at run time, as the committed records' figures did:
+	// a constant 99.9/100 can round differently from the division.
+	pct := func(p float64) float64 { return us(h.Quantile(p / 100)) }
 	return LatencySummary{
-		Count:  h.Count(),
+		Count:  h.Count,
 		MeanUS: h.Mean() / 1e3,
-		P50US:  us(h.Percentile(50)),
-		P90US:  us(h.Percentile(90)),
-		P99US:  us(h.Percentile(99)),
-		P999US: us(h.Percentile(99.9)),
-		MaxUS:  us(h.Max()),
+		P50US:  pct(50),
+		P90US:  pct(90),
+		P99US:  pct(99),
+		P999US: pct(99.9),
+		MaxUS:  us(h.MaxNS),
 	}
 }
 

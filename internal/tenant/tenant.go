@@ -280,7 +280,6 @@ func (m *Manager) AdmitFork(t *Tenant) (time.Duration, error) {
 func (m *Manager) granted(t *Tenant, start time.Time) time.Duration {
 	wait := time.Since(start)
 	t.admitted.Add(1)
-	t.queueWait.Observe(wait)
 	if m.met.Enabled() {
 		m.met.Tenant.QueueWait.Observe(wait)
 		if ts := t.slot; ts != nil {
@@ -351,8 +350,6 @@ type Tenant struct {
 	queuedForks atomic.Uint64 // forks that entered the admission queue
 	rejected    atomic.Uint64 // forks refused: queue full
 	timedOut    atomic.Uint64 // forks refused: admission wait timed out
-
-	queueWait metrics.Histogram // per-tenant admission wait
 
 	// slot is the tenant's partition in the metrics registry (nil when
 	// metrics are detached). The kernel hands it to each of the tenant's
@@ -474,7 +471,10 @@ type Stats struct {
 	ForksRejected   uint64
 	ForksTimedOut   uint64
 	QueueWaiting    int
-	QueueWait       metrics.HistogramSnapshot
+	// QueueWait is the tenant's metrics-slot histogram of admission
+	// waits, granted and timed out alike; empty when metrics are
+	// detached.
+	QueueWait metrics.HistogramSnapshot
 }
 
 // Stats returns the tenant's current accounting.
@@ -491,7 +491,9 @@ func (t *Tenant) Stats() Stats {
 		ForksQueued:     t.queuedForks.Load(),
 		ForksRejected:   t.rejected.Load(),
 		ForksTimedOut:   t.timedOut.Load(),
-		QueueWait:       t.queueWait.Snapshot(),
+	}
+	if ts := t.slot; ts != nil {
+		s.QueueWait = ts.QueueWait.Snapshot()
 	}
 	if t.m != nil {
 		t.m.mu.Lock()

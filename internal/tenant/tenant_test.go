@@ -127,8 +127,8 @@ func TestAdmitQueuesUntilUncharge(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("queued fork never admitted after uncharge")
 	}
-	if st := a.Stats(); st.ForksQueued != 1 || st.ForksAdmitted != 1 {
-		t.Fatalf("stats = %+v, want 1 queued 1 admitted", st)
+	if st := a.Stats(); st.ForksQueued != 1 || st.ForksAdmitted != 1 || st.QueueWait.Count != 1 {
+		t.Fatalf("stats = %+v, want 1 queued 1 admitted 1 wait", st)
 	}
 }
 
@@ -145,8 +145,26 @@ func TestAdmitTimeout(t *testing.T) {
 	if since := time.Since(start); since < 30*time.Millisecond {
 		t.Fatalf("timed out after %v, before the deadline", since)
 	}
-	if st := a.Stats(); st.ForksTimedOut != 1 {
-		t.Fatalf("stats = %+v, want 1 timed out", st)
+	// The timed-out wait is an admission wait too: Stats reads the
+	// tenant's metrics slot, which counts it.
+	st := a.Stats()
+	if st.ForksTimedOut != 1 || st.QueueWait.Count != 1 || st.QueueWait.SumNS < uint64(30*time.Millisecond) {
+		t.Fatalf("stats = %+v, want 1 timed out with its wait", st)
+	}
+	if st.QueueWait.Count != a.Slot().QueueWait.Snapshot().Count {
+		t.Fatal("Stats().QueueWait is not the metrics slot's histogram")
+	}
+
+	// Detached from metrics there is no slot, and no wait histogram.
+	d := NewManager(nil)
+	d.SetAdmitTimeout(time.Millisecond)
+	b, _ := d.Create("beta", 10)
+	b.ChargeFrames(20)
+	if _, err := d.AdmitFork(b); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("detached AdmitFork = %v, want ErrQuotaExceeded", err)
+	}
+	if st := b.Stats(); st.ForksTimedOut != 1 || st.QueueWait.Count != 0 {
+		t.Fatalf("detached stats = %+v, want 1 timed out and no wait histogram", st)
 	}
 }
 
