@@ -69,9 +69,9 @@ func TestCompareSyntheticRegression(t *testing.T) {
 func TestCompareWithinThreshold(t *testing.T) {
 	base := baseline()
 	cur := baseline()
-	cur.Fork[0].P50NS *= 1.04       // +4% < 5%
+	cur.Fork[0].P50NS *= 1.04         // +4% < 5%
 	cur.Fault.COWFaultsPerSec *= 0.96 // -4% < 5%
-	cur.Fault.FaultAllocsPerOp = 1  // within the absolute alloc slack
+	cur.Fault.FaultAllocsPerOp = 1    // within the absolute alloc slack
 	if regs := Compare(base, cur, 0.05); len(regs) != 0 {
 		t.Fatalf("within-threshold drift flagged: %v", regs)
 	}

@@ -53,8 +53,8 @@ type ForkResult struct {
 // FaultResult captures the fault-side hot paths: the post-split write
 // fast path and the COW fault throughput of a freshly forked space.
 type FaultResult struct {
-	FastPathNS      float64 `json:"fastpath_ns"`
-	COWFaultsPerSec float64 `json:"cow_faults_per_sec"`
+	FastPathNS       float64 `json:"fastpath_ns"`
+	COWFaultsPerSec  float64 `json:"cow_faults_per_sec"`
 	FaultAllocsPerOp float64 `json:"fault_allocs_per_op"`
 }
 

@@ -32,7 +32,7 @@ func TestFileBackedAcrossFork(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			child := Fork(as, mode)
+			child := mustForkOpts(as, mode, ForkOptions{})
 			defer child.Teardown()
 
 			// Child demand-faults the unfaulted upper half from the file.
@@ -70,7 +70,7 @@ func TestDemandFaultIntoSharedRegionSplits(t *testing.T) {
 	if err := as.StoreByte(base, 0x21); err != nil {
 		t.Fatal(err)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	// Child reads a never-faulted page in the same region.
@@ -94,7 +94,7 @@ func TestMprotectOnSharedTable(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x66)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	if err := child.Mprotect(base, addr.PTECoverage, vm.ProtRead); err != nil {
@@ -144,7 +144,7 @@ func TestMremapFileBackedKeepsOffsets(t *testing.T) {
 func TestForkEmptyAddressSpace(t *testing.T) {
 	for _, mode := range forkModes() {
 		as := newSpace()
-		child := Fork(as, mode)
+		child := mustForkOpts(as, mode, ForkOptions{})
 		if child.MappedBytes() != 0 {
 			t.Errorf("%v: empty fork has mappings", mode)
 		}
@@ -169,7 +169,7 @@ func TestForkManySmallVMAs(t *testing.T) {
 		}
 		bases = append(bases, b)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 	if child.VMACount() != as.VMACount() {
 		t.Errorf("VMA counts differ: %d vs %d", child.VMACount(), as.VMACount())

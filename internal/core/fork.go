@@ -62,27 +62,27 @@ type ForkOptions struct {
 	// sharing one level up.
 	ShareHugePMD bool
 	// Parallelism is the number of workers that copy the paging
-	// hierarchy. When greater than one, present PMD-slot ranges are
+	// hierarchy. When greater than one and the parent maps at least
+	// parallelThreshold 2 MiB regions, present PMD-slot ranges are
 	// fanned out to a bounded, reusable worker pool; each worker writes
 	// only its own destination subtree, so no two workers touch the
-	// same table. The zero value and 1 both select the sequential
-	// engine — the paper's single-threaded copy — so existing callers
-	// see identical behaviour. Values above the pool size are clamped
-	// to GOMAXPROCS; negative values panic (see ForkWithOptions).
+	// same table. The zero value and 1 run every range on the forking
+	// goroutine — the paper's single-threaded copy. Values above the
+	// pool size are clamped to GOMAXPROCS; negative values panic (see
+	// ForkWithOptions).
 	Parallelism int
-	// ParallelThreshold is the minimum number of present PMD slots
-	// (2 MiB regions) the parent must map before a Parallelism > 1 fork
-	// actually fans out; smaller address spaces run sequentially so
-	// they don't pay goroutine handoff for microseconds of work.
-	// 0 selects DefaultParallelThreshold; negative disables the
-	// threshold (always fan out).
-	ParallelThreshold int
 }
 
-// DefaultParallelThreshold is the present-PMD-slot count (2 MiB regions
-// — 64 slots = 128 MiB of mapped memory) below which a parallel fork
-// falls back to the sequential engine.
-const DefaultParallelThreshold = 64
+// parallelThreshold is the present-PMD-slot count (2 MiB regions — 64
+// slots = 128 MiB of mapped memory) below which a Parallelism > 1 fork
+// runs every range on the forking goroutine, so small address spaces
+// don't pay goroutine handoff for microseconds of work.
+const parallelThreshold = 64
+
+// fanOutMinSlots is the threshold forkOnce applies: parallelThreshold,
+// except in this package's tests, which lower it so the small address
+// spaces they build fan out.
+var fanOutMinSlots = parallelThreshold
 
 // Validate panics when the options are malformed (negative
 // Parallelism). Layers that take locks before entering the fork
@@ -112,37 +112,12 @@ func (o ForkOptions) workers() int {
 	return w
 }
 
-// threshold returns the effective sequential-fallback threshold in
-// present PMD slots.
-func (o ForkOptions) threshold() int {
-	if o.ParallelThreshold == 0 {
-		return DefaultParallelThreshold
-	}
-	if o.ParallelThreshold < 0 {
-		return 0
-	}
-	return o.ParallelThreshold
-}
-
-// Fork creates a child address space from parent using the given mode.
-// The child sees a byte-identical copy of the parent's memory with full
-// copy-on-write semantics; the parent's writable pages are
-// write-protected as required by the engine.
-//
-// Fork keeps the historical single-value signature: when the frame
-// budget runs out mid-copy it first unwinds the partial child (see
-// ForkWithOptions), then panics with ErrOutOfMemory, which callers
-// under a catchOOM boundary observe as an ordinary OOM error.
-func Fork(parent *AddressSpace, mode ForkMode) *AddressSpace {
-	child, err := ForkWithOptions(parent, mode, ForkOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return child
-}
-
-// ForkWithOptions is Fork with ablation and parallelism options. It
-// panics when opts.Parallelism is negative.
+// ForkWithOptions creates a child address space from parent using the
+// given mode. The child sees a byte-identical copy of the parent's
+// memory with full copy-on-write semantics; the parent's writable
+// pages are write-protected as required by the engine. opts selects
+// the ablation and parallelism options; it panics when
+// opts.Parallelism is negative or mode is unknown.
 //
 // The copy is transactional with respect to allocation failure: if any
 // table allocation fails mid-fork (frame limit, or an injected
@@ -161,6 +136,9 @@ func Fork(parent *AddressSpace, mode ForkMode) *AddressSpace {
 // the fork holds the parent's lock.
 func ForkWithOptions(parent *AddressSpace, mode ForkMode, opts ForkOptions) (*AddressSpace, error) {
 	workers := opts.workers() // validate before taking any lock
+	if mode != ForkClassic && mode != ForkOnDemand {
+		panic("core: unknown fork mode")
+	}
 	for tries := 0; ; tries++ {
 		child, err := parent.forkOnce(mode, opts, workers)
 		if err == nil || tries >= oomRetries || !parent.stallReclaim(tries) {
@@ -187,11 +165,11 @@ func (parent *AddressSpace) forkOnce(mode ForkMode, opts ForkOptions, workers in
 	var forkErr error
 	func() {
 		// The rollback boundary. Every fallible operation inside —
-		// NewTable at any level, the per-range copies, the fan-out
-		// tasks — sits at a slot boundary: a slot is either untouched
-		// or fully committed (entries set AND references taken) when
-		// the allocation panic unwinds, so freeing the child's tree
-		// releases exactly what the partial fork acquired.
+		// NewTable at any level of the walk, the range tasks on any
+		// participant — sits at a slot boundary: a slot is either
+		// untouched or fully committed (entries set AND references
+		// taken) when the allocation panic unwinds, so freeing the
+		// child's tree releases exactly what the partial fork acquired.
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -223,34 +201,26 @@ func (parent *AddressSpace) forkOnce(mode ForkMode, opts ForkOptions, workers in
 		if tr.Enabled() {
 			walkStart = time.Now()
 		}
-		nTasks := 0
-		fanOut := workers > 1 && parent.presentPMDSlots() >= opts.threshold()
-		switch mode {
-		case ForkClassic:
-			if fanOut {
-				run := getForkRun(parent, child, mode, opts)
-				run.tasks = parent.collectClassicTasks(parent.w.Root, child.w.Root, child, run.tasks)
-				noteFanOut(m, len(run.tasks))
-				nTasks = len(run.tasks)
-				run.execute(workers)
-				run.release()
-			} else {
-				parent.copyTreeClassic(parent.w.Root, child.w.Root, child)
+		// One walk for both engines and every Parallelism: the upper
+		// levels are duplicated on this goroutine, then the PMD ranges
+		// run as tasks — all on this goroutine, or fanned out over the
+		// pool once the parent is large enough to repay the handoff.
+		par, chunk := 1, addr.EntriesPerTable
+		if workers > 1 && presentPMDSlots(parent.w.Root) >= fanOutMinSlots {
+			par, chunk = workers, classicChunkSlots
+			if mode == ForkOnDemand {
+				chunk = onDemandChunkSlots
 			}
-		case ForkOnDemand:
-			if fanOut {
-				run := getForkRun(parent, child, mode, opts)
-				run.tasks = parent.collectOnDemandTasks(parent.w.Root, child.w.Root, child, opts, run.tasks)
-				noteFanOut(m, len(run.tasks))
-				nTasks = len(run.tasks)
-				run.execute(workers)
-				run.release()
-			} else {
-				parent.copyTreeOnDemand(parent.w.Root, child.w.Root, child, opts)
-			}
-		default:
-			panic("core: unknown fork mode")
 		}
+		run := getForkRun(parent, child, mode, opts, chunk)
+		run.collect(parent.w.Root, child.w.Root)
+		nTasks := 0
+		if par > 1 {
+			nTasks = len(run.tasks)
+			noteFanOut(m, nTasks)
+		}
+		run.execute(par)
+		run.release()
 		tr.SpanReq(trace.KindForkStage, trace.StageWalk, trace.ActorApp, walkStart, 0, 0, req)
 		// The parent's translations were downgraded; every relative that may
 		// cache translations through now-shared tables must drop them (the
@@ -319,7 +289,7 @@ func noteFanOut(m *metrics.Registry, nTasks int) {
 	}
 }
 
-// failFork panics with an injected OOM when the named fork-stage
+// failInject panics with an injected OOM when the named fork-stage
 // failpoint fires. Sites sit strictly at slot boundaries — before the
 // slot's table allocation, never between taking references and
 // committing them — so the rollback invariant (every committed slot is
@@ -328,30 +298,6 @@ func noteFanOut(m *metrics.Registry, nTasks int) {
 func (as *AddressSpace) failInject(fp *failpoint.Registry, name string) {
 	if fp.Enabled() && fp.FireAs(name, as.tenantID) {
 		panic(errInjected)
-	}
-}
-
-// copyTreeClassic duplicates the paging hierarchy the way Linux's
-// copy_page_range does: fresh tables at every level, and for every
-// present last-level entry a compound-head resolution, an atomic page
-// reference increment, and a COW downgrade in both parent and child.
-// This per-page work is the Figure 3 hot path.
-func (as *AddressSpace) copyTreeClassic(src, dst *pagetable.Table, child *AddressSpace) {
-	if src.Level == addr.PMD {
-		as.copyPMDRangeClassic(src, dst, 0, addr.EntriesPerTable, child, trace.ActorApp)
-		return
-	}
-	fp := as.alloc.Failpoints()
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		childTable := src.Child(i)
-		if childTable == nil {
-			continue
-		}
-		as.noteUpperWalk()
-		as.failInject(fp, failpoint.ForkWalk)
-		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
-		dst.SetChild(i, newTable, src.Entry(i))
-		as.copyTreeClassic(childTable, newTable, child)
 	}
 }
 
@@ -466,34 +412,6 @@ func (as *AddressSpace) copyHugeEntry(src, dst *pagetable.Table, i int, e pageta
 	as.alloc.Get(e.Frame())
 	if m := as.trk(); m != nil {
 		m.HugeMapped(e.Frame(), dst, i, child)
-	}
-}
-
-// copyTreeOnDemand duplicates only the upper levels of the hierarchy
-// (§3.1): at the PMD level, each present slot that points to a
-// last-level table is shared with the child — one share-counter
-// increment and one cleared writable bit replace 512 entry copies and
-// 512 page reference increments.
-func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *AddressSpace, opts ForkOptions) {
-	if src.Level == addr.PMD {
-		as.copyPMDRangeOnDemand(src, dst, 0, addr.EntriesPerTable, child, opts, trace.ActorApp)
-		return
-	}
-	fp := as.alloc.Failpoints()
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		childTable := src.Child(i)
-		if childTable == nil {
-			continue
-		}
-		as.noteUpperWalk()
-		if opts.ShareHugePMD && childTable.Level == addr.PMD && hugeOnly(childTable) {
-			as.sharePMDTable(src, dst, i, childTable, child)
-			continue
-		}
-		as.failInject(fp, failpoint.ForkWalk)
-		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
-		dst.SetChild(i, newTable, src.Entry(i))
-		as.copyTreeOnDemand(childTable, newTable, child, opts)
 	}
 }
 

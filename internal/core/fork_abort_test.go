@@ -117,12 +117,56 @@ func TestForkAbortClassicRefcount(t *testing.T) {
 	forkAbortFailpoint(t, ForkClassic, failpoint.ForkRefcount, ForkOptions{})
 }
 
+// forkAbortFanOut aborts a fanned-out fork from inside a range task.
+// The parent maps two 2 MiB regions onDemandChunkSlots regions apart,
+// so either engine's chunking yields two tasks and the fork runs them
+// on two participants. Whichever participant hits the failpoint traps
+// the panic in participate; execute must re-raise it after the join,
+// or the partial child would be returned as a successful fork.
+func forkAbortFanOut(t *testing.T, mode ForkMode, point string) {
+	t.Helper()
+	as, m := newMeteredSpace()
+	defer as.Teardown()
+	region := uint64(addr.PTECoverage)
+	var bases []addr.V
+	for _, slot := range []uint64{0, onDemandChunkSlots} {
+		v, err := as.Mmap(mmapBase+addr.V(slot*region), region, rw, vm.MapPrivate|vm.MapPopulate, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPattern(t, as, v, region, 0xC3)
+		bases = append(bases, v)
+	}
+	fp := failpoint.New(1)
+	as.Allocator().SetFailpoints(fp)
+	pre := as.Allocator().Allocated()
+	opts := ForkOptions{Parallelism: 4}
+
+	if err := fp.Set(point, "once"); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	child, err := ForkWithOptions(as, mode, opts)
+	if d := m.Snapshot().Sub(before); d.Fork.ParallelForks != 1 || d.Fork.ParallelTasks != 2 {
+		t.Fatalf("aborting fork ran %d fan-outs with %d tasks, want 1 with 2",
+			d.Fork.ParallelForks, d.Fork.ParallelTasks)
+	}
+	checkAbortedFork(t, as, child, err, pre)
+	if fp.Fires(point) != 1 {
+		t.Fatalf("failpoint %s fired %d times, want 1", point, fp.Fires(point))
+	}
+
+	for _, base := range bases {
+		retryAndVerify(t, as, mode, opts, base, region)
+	}
+}
+
 func TestForkAbortParallelOnDemand(t *testing.T) {
-	forkAbortFailpoint(t, ForkOnDemand, failpoint.ForkWalk, ForkOptions{Parallelism: 4})
+	forkAbortFanOut(t, ForkOnDemand, failpoint.ForkShare)
 }
 
 func TestForkAbortParallelClassic(t *testing.T) {
-	forkAbortFailpoint(t, ForkClassic, failpoint.ForkRefcount, ForkOptions{Parallelism: 4})
+	forkAbortFanOut(t, ForkClassic, failpoint.ForkRefcount)
 }
 
 // TestForkAbortRepeated drives many aborted forks in a row and then a

@@ -1,20 +1,21 @@
 package core
 
-// Parallel fork engine: fan the tree copy out across present PMD-slot
-// ranges, the way Mitosis parallelizes page-table work across the
-// radix tree's upper levels. The sequential walk of the (tiny) upper
-// levels duplicates PGD/PUD tables and collects one task per chunk of
-// PMD slots; a bounded, reusable worker pool then copies the chunks
-// concurrently.
+// The fork walk and its range-task executor, shared by both engines at
+// every Parallelism. The walk of the (tiny) upper levels runs on the
+// forking goroutine: it duplicates PGD/PUD tables — or, under
+// ShareHugePMD, shares a huge-only PMD table whole — and collects one
+// task per PMD table, or per chunk of PMD slots when the fork fans
+// out. The tasks then run on the forking goroutine alone, or across a
+// bounded, reusable worker pool, the way Mitosis parallelizes
+// page-table work across the radix tree's upper levels.
 //
 // Data-race freedom comes from ownership, not locking: every task
 // writes a disjoint slot range of a freshly allocated destination
 // table nobody else can reach (distinct array indices of private
 // tables), reads of source entries are atomic words, shared leaf
-// tables are taken under their own locks exactly as in the sequential
-// engine, and all metric/refcount traffic is atomic. The WaitGroup in
-// forkRun.execute gives the caller a happens-before edge over
-// everything the workers wrote.
+// tables are taken under their own locks, and all metric/refcount
+// traffic is atomic. The WaitGroup in forkRun.execute gives the caller
+// a happens-before edge over everything the workers wrote.
 
 import (
 	"context"
@@ -30,26 +31,27 @@ import (
 	"repro/internal/trace"
 )
 
-// forkTask is one unit of fork-time copy work: a chunked slot range of
-// one source PMD table, copied into the corresponding slots of the
+// forkTask is one unit of fork-time copy work: a slot range of one
+// source PMD table, copied into the corresponding slots of the
 // destination table. Tasks are plain values inside a pooled run — no
-// per-task closure — so fanning a fork out allocates nothing once the
-// run pool is warm.
+// per-task closure — so a fork allocates nothing for them once the run
+// pool is warm.
 type forkTask struct {
 	src, dst *pagetable.Table
 	lo, hi   int
 }
 
-// forkRun is the shared state of one parallel fork: the engine
-// selection, the task list, the work-stealing cursor, and the
-// abort/join machinery. Pool workers receive the run itself and pull
-// tasks from it, so a fork hands one pointer per helper to the pool
-// instead of one closure per task.
+// forkRun is the shared state of one fork: the engine selection, the
+// task list, the work-stealing cursor, and the abort/join machinery.
+// Pool workers receive the run itself and pull tasks from it, so a
+// fork hands one pointer per helper to the pool instead of one closure
+// per task.
 type forkRun struct {
 	as    *AddressSpace
 	child *AddressSpace
 	mode  ForkMode
 	opts  ForkOptions
+	chunk int // PMD slots per task
 	tasks []forkTask
 
 	next       atomic.Int64
@@ -62,10 +64,10 @@ type forkRun struct {
 var forkRunPool = sync.Pool{New: func() any { return new(forkRun) }}
 
 // getForkRun returns a reset run for one fork invocation.
-func getForkRun(as, child *AddressSpace, mode ForkMode, opts ForkOptions) *forkRun {
+func getForkRun(as, child *AddressSpace, mode ForkMode, opts ForkOptions, chunk int) *forkRun {
 	r := forkRunPool.Get().(*forkRun)
 	r.as, r.child = as, child
-	r.mode, r.opts = mode, opts
+	r.mode, r.opts, r.chunk = mode, opts, chunk
 	r.tasks = r.tasks[:0]
 	r.next.Store(0)
 	r.aborted.Store(false)
@@ -74,19 +76,18 @@ func getForkRun(as, child *AddressSpace, mode ForkMode, opts ForkOptions) *forkR
 }
 
 // release drops the run's space references and parks it for reuse. Not
-// called when execute re-raises a task panic — an aborted fork's run is
-// left to the garbage collector rather than threading cleanup through
-// the unwind.
+// called when a task panics — an aborted fork's run is left to the
+// garbage collector rather than threading cleanup through the unwind.
 func (r *forkRun) release() {
 	r.as, r.child = nil, nil
 	forkRunPool.Put(r)
 }
 
-// Chunk sizes, in PMD slots per task. Classic fork does 512 PTE copies
-// plus refcount traffic per slot, so modest chunks (16 slots = 32 MiB)
-// balance load without swamping the task list. On-demand fork does one
-// counter increment per slot, so only coarse chunks are worth a
-// handoff.
+// Chunk sizes, in PMD slots per task, of a fork that fans out. Classic
+// fork does 512 PTE copies plus refcount traffic per slot, so modest
+// chunks (16 slots = 32 MiB) balance load without swamping the task
+// list. On-demand fork does one counter increment per slot, so only
+// coarse chunks are worth a handoff.
 const (
 	classicChunkSlots  = 16
 	onDemandChunkSlots = 128
@@ -149,18 +150,24 @@ func (r *forkRun) participate(actor int32) {
 		if i >= len(r.tasks) {
 			return
 		}
-		t := &r.tasks[i]
-		switch r.mode {
-		case ForkClassic:
-			r.as.copyPMDRangeClassic(t.src, t.dst, t.lo, t.hi, r.child, actor)
-		default:
-			r.as.copyPMDRangeOnDemand(t.src, t.dst, t.lo, t.hi, r.child, r.opts, actor)
-		}
+		r.run(&r.tasks[i], actor)
+	}
+}
+
+// run performs one task with the run's engine; actor names the
+// participant running it.
+func (r *forkRun) run(t *forkTask, actor int32) {
+	if r.mode == ForkClassic {
+		r.as.copyPMDRangeClassic(t.src, t.dst, t.lo, t.hi, r.child, actor)
+	} else {
+		r.as.copyPMDRangeOnDemand(t.src, t.dst, t.lo, t.hi, r.child, r.opts, actor)
 	}
 }
 
 // execute runs the collected tasks with up to par participants: the
-// caller plus at most par-1 pool workers. Tasks are claimed with an
+// caller plus at most par-1 pool workers. With one participant the
+// caller runs every task itself, and a task panic unwinds straight to
+// the transaction boundary. Otherwise tasks are claimed with an
 // atomic cursor (work stealing), so uneven chunks self-balance. If the
 // pool is saturated by concurrent forks, submission falls through and
 // the caller simply runs the remaining work itself — slower, never
@@ -173,18 +180,9 @@ func (r *forkRun) execute(par int) {
 	if len(r.tasks) == 0 {
 		return
 	}
-	if par > len(r.tasks) {
-		par = len(r.tasks)
-	}
-	if par <= 1 {
+	if par = min(par, len(r.tasks)); par <= 1 {
 		for i := range r.tasks {
-			t := &r.tasks[i]
-			switch r.mode {
-			case ForkClassic:
-				r.as.copyPMDRangeClassic(t.src, t.dst, t.lo, t.hi, r.child, trace.ActorApp)
-			default:
-				r.as.copyPMDRangeOnDemand(t.src, t.dst, t.lo, t.hi, r.child, r.opts, trace.ActorApp)
-			}
+			r.run(&r.tasks[i], trace.ActorApp)
 		}
 		return
 	}
@@ -204,56 +202,46 @@ func (r *forkRun) execute(par int) {
 	}
 }
 
-// presentPMDSlots counts the present PMD slots (2 MiB regions) of the
-// address space using the O(1) per-table tallies — the quantity the
-// sequential-fallback threshold compares against.
-func (as *AddressSpace) presentPMDSlots() int {
+// presentPMDSlots counts the present PMD slots (2 MiB regions) under
+// table t using the O(1) per-table tallies — the quantity the fan-out
+// threshold compares against.
+func presentPMDSlots(t *pagetable.Table) int {
+	if t.Level == addr.PMD {
+		return t.PresentCount()
+	}
 	total := 0
-	var walk func(t *pagetable.Table)
-	walk = func(t *pagetable.Table) {
-		if t.Level == addr.PMD {
-			total += t.PresentCount()
-			return
-		}
-		for i := 0; i < addr.EntriesPerTable; i++ {
-			if c := t.Child(i); c != nil {
-				walk(c)
-			}
+	for i := 0; i < addr.EntriesPerTable; i++ {
+		if c := t.Child(i); c != nil {
+			total += presentPMDSlots(c)
 		}
 	}
-	walk(as.w.Root)
 	return total
 }
 
-// appendRangeTasks splits a PMD table into chunked slot-range tasks,
-// skipping chunks with no present entries.
-func appendRangeTasks(tasks []forkTask, src, dst *pagetable.Table, chunk int) []forkTask {
-	if src.PresentCount() == 0 {
-		return tasks
-	}
-	for lo := 0; lo < addr.EntriesPerTable; lo += chunk {
-		hi := min(lo+chunk, addr.EntriesPerTable)
-		any := false
-		for i := lo; i < hi; i++ {
-			if src.Entry(i).Present() {
-				any = true
-				break
+// collect walks the upper levels from src on the forking goroutine,
+// building the matching levels under dst. Each PGD/PUD table is
+// duplicated; on the on-demand engine with ShareHugePMD, a PMD table
+// whose entries all map 2 MiB pages is shared whole instead (§4). Each
+// remaining PMD table becomes tasks of r.chunk slots, skipping chunks
+// with no present entries; each task owns its destination slot range.
+func (r *forkRun) collect(src, dst *pagetable.Table) {
+	if src.Level == addr.PMD {
+		if src.PresentCount() == 0 {
+			return
+		}
+		for lo := 0; lo < addr.EntriesPerTable; lo += r.chunk {
+			hi := min(lo+r.chunk, addr.EntriesPerTable)
+			for i := lo; i < hi; i++ {
+				if src.Entry(i).Present() {
+					r.tasks = append(r.tasks, forkTask{src: src, dst: dst, lo: lo, hi: hi})
+					break
+				}
 			}
 		}
-		if any {
-			tasks = append(tasks, forkTask{src: src, dst: dst, lo: lo, hi: hi})
-		}
+		return
 	}
-	return tasks
-}
-
-// collectClassicTasks walks the upper levels sequentially (duplicating
-// PGD/PUD tables, as copyTreeClassic does) and appends one task per
-// chunk of PMD slots. Each task owns its destination slot range.
-func (as *AddressSpace) collectClassicTasks(src, dst *pagetable.Table, child *AddressSpace, tasks []forkTask) []forkTask {
-	if src.Level == addr.PMD {
-		return appendRangeTasks(tasks, src, dst, classicChunkSlots)
-	}
+	as, child := r.as, r.child
+	shareHuge := r.mode == ForkOnDemand && r.opts.ShareHugePMD
 	fp := as.alloc.Failpoints()
 	for i := 0; i < addr.EntriesPerTable; i++ {
 		childTable := src.Child(i)
@@ -261,37 +249,13 @@ func (as *AddressSpace) collectClassicTasks(src, dst *pagetable.Table, child *Ad
 			continue
 		}
 		as.noteUpperWalk()
-		as.failInject(fp, failpoint.ForkWalk)
-		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
-		dst.SetChild(i, newTable, src.Entry(i))
-		tasks = as.collectClassicTasks(childTable, newTable, child, tasks)
-	}
-	return tasks
-}
-
-// collectOnDemandTasks is the on-demand counterpart: upper levels are
-// duplicated (or whole PMD tables shared, under ShareHugePMD) inline —
-// that work is a handful of counter increments — and PMD slot chunks
-// become tasks.
-func (as *AddressSpace) collectOnDemandTasks(src, dst *pagetable.Table, child *AddressSpace, opts ForkOptions, tasks []forkTask) []forkTask {
-	if src.Level == addr.PMD {
-		return appendRangeTasks(tasks, src, dst, onDemandChunkSlots)
-	}
-	fp := as.alloc.Failpoints()
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		childTable := src.Child(i)
-		if childTable == nil {
-			continue
-		}
-		as.noteUpperWalk()
-		if opts.ShareHugePMD && childTable.Level == addr.PMD && hugeOnly(childTable) {
+		if shareHuge && childTable.Level == addr.PMD && hugeOnly(childTable) {
 			as.sharePMDTable(src, dst, i, childTable, child)
 			continue
 		}
 		as.failInject(fp, failpoint.ForkWalk)
 		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
 		dst.SetChild(i, newTable, src.Entry(i))
-		tasks = as.collectOnDemandTasks(childTable, newTable, child, opts, tasks)
+		r.collect(childTable, newTable)
 	}
-	return tasks
 }

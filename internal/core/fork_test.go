@@ -33,7 +33,7 @@ func TestForkChildSeesParentMemory(t *testing.T) {
 			base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 			fillPattern(t, as, base, size, 0xA5)
 
-			child := Fork(as, mode)
+			child := mustForkOpts(as, mode, ForkOptions{})
 			if err := EqualMemory(as, child, addr.NewRange(base, size)); err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestForkWriteIsolation(t *testing.T) {
 			base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 			fillPattern(t, as, base, size, 0x3C)
 
-			child := Fork(as, mode)
+			child := mustForkOpts(as, mode, ForkOptions{})
 			defer child.Teardown()
 
 			spot := base + addr.V(addr.PTECoverage+addr.PageSize*17+33)
@@ -99,7 +99,7 @@ func TestOnDemandForkSharesTables(t *testing.T) {
 	base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, size, 1)
 
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	pst, cst := as.Tables(), child.Tables()
@@ -124,7 +124,7 @@ func TestOnDemandForkReadsDoNotSplit(t *testing.T) {
 	base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, size, 7)
 
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	// Reads anywhere must not fault or split (§3.4 Fast Read).
@@ -149,7 +149,7 @@ func TestOnDemandForkSplitOncePer2MiB(t *testing.T) {
 	base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, size, 9)
 
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	// First write in region 0: exactly one split.
@@ -186,7 +186,7 @@ func TestOnDemandForkParentWriteSplits(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x42)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	before, _ := child.LoadByte(base)
@@ -210,7 +210,7 @@ func TestFastDedupAfterChildExit(t *testing.T) {
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x11)
 
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	child.Teardown()
 
 	// Parent is now the sole owner; its write should re-dedicate the
@@ -238,7 +238,7 @@ func TestManyChildrenShareOneTable(t *testing.T) {
 
 	var children []*AddressSpace
 	for i := 0; i < 5; i++ {
-		children = append(children, Fork(as, ForkOnDemand))
+		children = append(children, mustForkOpts(as, ForkOnDemand, ForkOptions{}))
 	}
 	leaf, _ := as.Walker().FindPTE(base)
 	if got := leaf.ShareCount(as.Allocator()); got != 6 {
@@ -282,8 +282,8 @@ func TestGrandchildLineage(t *testing.T) {
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x55)
 
-	child := Fork(as, ForkOnDemand)
-	grand := Fork(child, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
+	grand := mustForkOpts(child, ForkOnDemand, ForkOptions{})
 	leaf, _ := as.Walker().FindPTE(base)
 	if got := leaf.ShareCount(as.Allocator()); got != 3 {
 		t.Fatalf("share count = %d, want 3", got)
@@ -319,7 +319,7 @@ func TestForkHugePages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	child := Fork(as, ForkClassic)
+	child := mustForkOpts(as, ForkClassic, ForkOptions{})
 	defer child.Teardown()
 	got := make([]byte, len(payload))
 	if err := child.ReadAt(got, base+12345); err != nil {
@@ -357,7 +357,7 @@ func TestOnDemandForkWithHugeFallsBack(t *testing.T) {
 	if err := as.StoreByte(base, 5); err != nil {
 		t.Fatal(err)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 	if b, _ := child.LoadByte(base); b != 5 {
 		t.Errorf("child huge byte = %d", b)
@@ -380,8 +380,8 @@ func TestMixedModeForks(t *testing.T) {
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x99)
 
-	child := Fork(as, ForkOnDemand)
-	grand := Fork(child, ForkClassic)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
+	grand := mustForkOpts(child, ForkClassic, ForkOptions{})
 
 	if err := EqualMemory(as, grand, addr.NewRange(base, addr.PTECoverage)); err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestMunmapSharedTableFull(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x21)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 
 	leaf, _ := as.Walker().FindPTE(base)
 	if err := child.Munmap(base, addr.PTECoverage); err != nil {
@@ -439,7 +439,7 @@ func TestMunmapSharedTablePartial(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x31)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	half := addr.V(addr.PTECoverage / 2)
@@ -473,7 +473,7 @@ func TestMremapSharedTable(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x61)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	nb, err := child.Mremap(base, addr.PTECoverage)
@@ -497,7 +497,7 @@ func TestDirtyBitNeverSetWhileShared(t *testing.T) {
 	as := newSpace()
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	leaf, _ := as.Walker().FindPTE(base)
@@ -520,7 +520,7 @@ func TestAccessedBitSurvivesSplit(t *testing.T) {
 	if _, err := as.LoadByte(base + addr.V(9*addr.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 	// Child write elsewhere in the region forces the split.
 	if err := child.StoreByte(base, 1); err != nil {
@@ -582,5 +582,5 @@ func TestUnknownForkModePanics(t *testing.T) {
 			t.Error("unknown mode did not panic")
 		}
 	}()
-	Fork(as, ForkMode(42))
+	mustForkOpts(as, ForkMode(42), ForkOptions{})
 }

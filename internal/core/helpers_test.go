@@ -5,6 +5,11 @@ import (
 	"repro/internal/metrics"
 )
 
+// The package's tests build address spaces of a few 2 MiB regions, far
+// below parallelThreshold; let every Parallelism > 1 fork fan out on
+// them. TestForkParallelBelowThreshold restores the production value.
+func init() { fanOutMinSlots = 0 }
+
 // mustForkOpts is the test-side shim over ForkWithOptions for the many
 // call sites that want the historical single-value shape: a fork that
 // fails (frame limit, injected fault) panics instead of returning an

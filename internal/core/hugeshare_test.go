@@ -380,7 +380,7 @@ func TestHugeShareForkLatencyAdvantage(t *testing.T) {
 	childShared.Teardown()
 
 	before = as.alloc.Allocated()
-	childPlain := Fork(as, ForkOnDemand)
+	childPlain := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	plainDelta := as.alloc.Allocated() - before
 	childPlain.Teardown()
 

@@ -48,7 +48,7 @@ func TestOOMOnCOWSplit(t *testing.T) {
 	as := newSpace()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	fillPattern(t, as, base, addr.PTECoverage, 0x5A)
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	// The split needs a table frame plus a COW data frame.
 	as.Allocator().SetLimit(as.Allocator().Allocated())
 	err := child.StoreByte(base, 1)

@@ -10,10 +10,11 @@ import (
 	"repro/internal/mem/vm"
 )
 
-// parOpts forces fan-out regardless of address-space size, so the
-// parallel engine is exercised even on the small regions tests use.
+// parOpts selects fan-out over workers participants. The package's
+// tests lower the fan-out threshold (helpers_test.go), so the parallel
+// engine is exercised even on the small regions tests use.
 func parOpts(workers int) ForkOptions {
-	return ForkOptions{Parallelism: workers, ParallelThreshold: -1}
+	return ForkOptions{Parallelism: workers}
 }
 
 func TestForkParallelMatchesSequential(t *testing.T) {
@@ -26,7 +27,7 @@ func TestForkParallelMatchesSequential(t *testing.T) {
 				base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 				fillPattern(t, as, base, size, 0xC3)
 
-				seq := Fork(as, mode)
+				seq := mustForkOpts(as, mode, ForkOptions{})
 				par := mustForkOpts(as, mode, parOpts(workers))
 				r := addr.NewRange(base, size)
 				if err := EqualMemory(as, par, r); err != nil {
@@ -109,7 +110,7 @@ func TestForkParallelismValidation(t *testing.T) {
 	})
 
 	t.Run("huge values clamp", func(t *testing.T) {
-		child := mustForkOpts(as, ForkClassic, ForkOptions{Parallelism: 1 << 20, ParallelThreshold: -1})
+		child := mustForkOpts(as, ForkClassic, ForkOptions{Parallelism: 1 << 20})
 		defer child.Teardown()
 		if err := CheckInvariants(as, child); err != nil {
 			t.Fatal(err)
@@ -118,18 +119,25 @@ func TestForkParallelismValidation(t *testing.T) {
 }
 
 // TestForkParallelBelowThreshold checks that a small address space with
-// Parallelism set still forks correctly through the sequential
-// fallback (the threshold keeps tiny forks off the pool).
+// Parallelism set forks correctly on the forking goroutine alone: the
+// production threshold keeps tiny forks off the pool.
 func TestForkParallelBelowThreshold(t *testing.T) {
+	defer func(v int) { fanOutMinSlots = v }(fanOutMinSlots)
+	fanOutMinSlots = parallelThreshold
 	for _, mode := range forkModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			as := newSpace()
+			as, m := newMeteredSpace()
 			defer as.Teardown()
-			size := uint64(2 * addr.PTECoverage) // 2 slots << DefaultParallelThreshold
+			size := uint64(2 * addr.PTECoverage) // 2 slots << parallelThreshold
 			base := mustMmap(t, as, size, rw, vm.MapPrivate|vm.MapPopulate)
 			fillPattern(t, as, base, size, 0x77)
+			before := m.Snapshot()
 			child := mustForkOpts(as, mode, ForkOptions{Parallelism: 8})
 			defer child.Teardown()
+			if d := m.Snapshot().Sub(before); d.Fork.ParallelForks != 0 || d.Fork.ParallelTasks != 0 {
+				t.Errorf("fork below the threshold fanned out: %d forks, %d tasks",
+					d.Fork.ParallelForks, d.Fork.ParallelTasks)
+			}
 			if err := EqualMemory(as, child, addr.NewRange(base, size)); err != nil {
 				t.Fatal(err)
 			}

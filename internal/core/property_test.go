@@ -86,7 +86,7 @@ func TestQuickForkLineage(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					mode = ForkOnDemand
 				}
-				child := Fork(s.as, mode)
+				child := mustForkOpts(s.as, mode, ForkOptions{})
 				live = append(live, &shadowSpace{
 					as: child, shadow: s.cloneShadow(), base: s.base, size: s.size,
 				})
@@ -169,7 +169,7 @@ func TestQuickUnmapRemapLineage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		child := Fork(parent, ForkOnDemand)
+		child := mustForkOpts(parent, ForkOnDemand, ForkOptions{})
 
 		// Child randomly unmaps or remaps sub-ranges; the parent's view
 		// must be completely unaffected.

@@ -132,7 +132,7 @@ func TestForkWithSwappedEntries(t *testing.T) {
 			if !m.ReclaimFrames(pages / 2) {
 				t.Fatal("eviction freed nothing")
 			}
-			child := Fork(as, mode)
+			child := mustForkOpts(as, mode, ForkOptions{})
 			if err := CheckInvariants(as, child); err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestSwappedPagesAcrossManyForks(t *testing.T) {
 		if i%2 == 1 {
 			mode = ForkOnDemand
 		}
-		kids[i] = Fork(as, mode)
+		kids[i] = mustForkOpts(as, mode, ForkOptions{})
 	}
 	all := append([]*AddressSpace{as}, kids...)
 	if err := CheckInvariants(all...); err != nil {

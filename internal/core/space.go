@@ -851,7 +851,7 @@ func (as *AddressSpace) MadviseDontneed(start addr.V, size uint64) (err error) {
 // VisitPresentPages calls fn for every present 4 KiB page of the
 // space, in address order, with the page's logical content (nil means
 // all-zero). Huge mappings are delivered page by page. fn returning an
-// error stops the walk. Used by core-dump serialization.
+// error stops the walk. Used by durable checkpoint capture.
 func (as *AddressSpace) VisitPresentPages(fn func(v addr.V, data []byte) error) error {
 	var swapBuf []byte
 	for _, vma := range as.VMAs() {

@@ -465,7 +465,7 @@ func TestProfilerCountsFork(t *testing.T) {
 	base := mustMmap(t, as, 4*addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 
 	before := m.Snapshot()
-	child := Fork(as, ForkClassic)
+	child := mustForkOpts(as, ForkClassic, ForkOptions{})
 	got := attributionCounts(m.Snapshot().Sub(before))
 	const ptes = 4 * addr.EntriesPerTable
 	// One PGD and one PUD entry lead to the PMD table, whose four
@@ -481,7 +481,7 @@ func TestProfilerCountsFork(t *testing.T) {
 	child.Teardown()
 
 	before = m.Snapshot()
-	child2 := Fork(as, ForkOnDemand)
+	child2 := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	got = attributionCounts(m.Snapshot().Sub(before))
 	for name, want := range map[string]uint64{
 		"copy_one_pte": 0, "page_ref_inc": 0, "pt_share_inc": 4,

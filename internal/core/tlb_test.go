@@ -37,7 +37,7 @@ func TestTLBNotStaleAcrossOwnCOW(t *testing.T) {
 	if _, err := as.LoadByte(base); err != nil { // cache it
 		t.Fatal(err)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	// Parent writes: shootdown (fork) + split + data COW happened.
@@ -67,7 +67,7 @@ func TestTLBStaleWritePreventedByShootdown(t *testing.T) {
 	if err := as.StoreByte(base, 2); err != nil {
 		t.Fatal(err)
 	}
-	child := Fork(as, ForkOnDemand)
+	child := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer child.Teardown()
 
 	// Parent writes through what would be a TLB write-hit path.
@@ -89,9 +89,9 @@ func TestTLBStaleWritePreventedAcrossSplit(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PTECoverage, rw, vm.MapPrivate|vm.MapPopulate)
 	as.StoreByte(base, 0xA0)
-	c1 := Fork(as, ForkOnDemand)
+	c1 := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer c1.Teardown()
-	c2 := Fork(as, ForkOnDemand)
+	c2 := mustForkOpts(as, ForkOnDemand, ForkOptions{})
 	defer c2.Teardown()
 
 	// c2 caches a read translation through the shared table.
@@ -176,7 +176,7 @@ func TestChildTLBStartsEmpty(t *testing.T) {
 	defer as.Teardown()
 	base := mustMmap(t, as, addr.PageSize, rw, vm.MapPrivate|vm.MapPopulate)
 	as.LoadByte(base)
-	child := Fork(as, ForkClassic)
+	child := mustForkOpts(as, ForkClassic, ForkOptions{})
 	defer child.Teardown()
 	if got := child.TLB().Entries(); got != 0 {
 		t.Errorf("child TLB has %d entries at birth", got)

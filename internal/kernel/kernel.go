@@ -304,8 +304,8 @@ func WithWorkers(n int) ForkOpt {
 	return func(c *forkCfg) { c.opts.Parallelism = n }
 }
 
-// WithForkOptions replaces the full core.ForkOptions — ablation knobs
-// and parallelism thresholds beyond what WithWorkers covers.
+// WithForkOptions replaces the full core.ForkOptions — the ablation
+// and huge-table-sharing knobs beyond what WithWorkers covers.
 func WithForkOptions(opts core.ForkOptions) ForkOpt {
 	return func(c *forkCfg) { c.opts = opts }
 }

@@ -101,13 +101,15 @@ func TestForkAPIEquivalence(t *testing.T) {
 }
 
 // TestForkWorkersEquivalence proves WithWorkers(n) is the same knob as
-// WithForkOptions(ForkOptions{Parallelism: n}).
+// WithForkOptions(ForkOptions{Parallelism: n}). The parent maps 128 MiB
+// (64 regions of 2 MiB), enough for a Parallelism > 1 fork to fan out,
+// so both sides must charge one fanned-out fork.
 func TestForkWorkersEquivalence(t *testing.T) {
 	run := func(fork func(p *Process) (*Process, error)) (parallelForks, parallelTasks uint64) {
 		k := New()
 		p := k.NewProcess()
 		defer p.Exit()
-		if _, err := p.Mmap(64*testMiB, testProt, testFlags); err != nil {
+		if _, err := p.Mmap(128*testMiB, testProt, testFlags); err != nil {
 			t.Fatal(err)
 		}
 		before := k.MetricsSnapshot()
@@ -126,6 +128,10 @@ func TestForkWorkersEquivalence(t *testing.T) {
 	fullForks, fullTasks := run(func(p *Process) (*Process, error) {
 		return p.Fork(WithMode(core.ForkOnDemand), WithForkOptions(core.ForkOptions{Parallelism: 4}))
 	})
+	if optForks != 1 || optTasks == 0 {
+		t.Errorf("WithWorkers(4) on 128 MiB charged forks=%d tasks=%d, want one fanned-out fork",
+			optForks, optTasks)
+	}
 	if optForks != fullForks || optTasks != fullTasks {
 		t.Errorf("WithWorkers charged forks=%d tasks=%d; WithForkOptions charged forks=%d tasks=%d",
 			optForks, optTasks, fullForks, fullTasks)

@@ -146,7 +146,7 @@ func WithMode(m Mode) ForkOpt { return kernel.WithMode(m) }
 func WithWorkers(n int) ForkOpt { return kernel.WithWorkers(n) }
 
 // WithForkOptions applies a full ForkOptions (ablation knobs,
-// parallelism thresholds). Later options override its fields.
+// huge-table sharing, parallelism). Later options override its fields.
 func WithForkOptions(o ForkOptions) ForkOpt { return kernel.WithForkOptions(o) }
 
 // Snapshotter is the typed snapshot-serving API: it forks a process
